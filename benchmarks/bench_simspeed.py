@@ -1,48 +1,32 @@
-"""Simulator throughput across the four execution tiers.
+"""Simulator throughput: the reference walk vs. the production path.
 
 Measures raw access throughput (simulated memory accesses per wall
-second) of one core driving the scaled-Nehalem hierarchy for each
-execution tier:
+second) of one core driving the scaled-Nehalem hierarchy on three
+execution paths:
 
-* **generic** (``REPRO_FAST_LANE=0``) — the reference path: virtual
-  policy dispatch and exception-based probing on every access;
-* **fastlane** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=0``) — the
-  first-generation fast lane: batched address generation, inlined
-  list-based LRU verbs, scalar hierarchy walks;
-* **kernel** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=1
-  REPRO_VECTOR_KERNEL=0``) — the bulk kernel: flat-array set storage
-  plus batched ``access_many`` walks;
-* **vector** (``REPRO_VECTOR_KERNEL=1``) — the tier-4 numpy kernel:
-  classify-then-commit batches with vectorized tag probes and bulk
-  fills, counter and stat deltas flushed once per batch.
+* **generic** (``REPRO_FAST_LANE=0``) — the reference walk: per-set
+  lists, virtual policy dispatch, the dict owner store;
+* **kernel** (``REPRO_VECTOR_KERNEL=0``) — the production path with
+  the numpy kernel off: flat-array set storage, the L3 owner-bitmask
+  column and batched ``access_many`` walks;
+* **vector** (the defaults) — the full production path: the above
+  plus the numpy classify/commit kernel, with counter and stat deltas
+  flushed once per batch.
 
-Every tier additionally runs with the tier-5 ownership kernel on
-(``REPRO_OWNER_ARRAYS=1``: array-backed L3 owner bitmasks instead of
-the dict-of-sets walk) and the batched private fill
-(``REPRO_VECTOR_FILLS=1``) — both production defaults.  The
-**ownership gates** quantify that layer directly: the current vector
-tier against a rebuilt PR-6 "legacy" vector tier
-(``REPRO_OWNER_ARRAYS=0 REPRO_VECTOR_FILLS=0``), both at the standard
-40 K budget.
-
-All tiers produce bit-identical results (the differential suites in
+All paths produce bit-identical results (the differential suites in
 ``tests/arch/test_bulk_kernel.py`` and
 ``tests/arch/test_owner_store.py`` prove it); only wall-clock differs.
 
 The vector gates compare vector against kernel per workload at that
 workload's amortisation budget: ``stream-llc`` at the default 40 K
 cycles (large consecutive batches exist there already), and
-``pointer-chase`` at a longer budget — a 40 K chase period holds only
-a ~200-access batch, which the PR-6 vector tier could not amortise
-(its engage threshold is 384 expected accesses, so it stands down to
-the bulk kernel there).  The tier-5 build moves the measured engage
-break-even down to ~128: batches arrive as array slices from the
-pattern layer and the owner bitmask column replaces the per-line
-dict walk, so the ~200-access chase batches of a standard budget now
-profit from the vector path.  The pointer-chase ownership gate at
-40 K measures exactly that regime — the engaged tier-5 vector kernel
-against the legacy tier's stand-down floor; the long-budget
-vector-vs-kernel chase gate is kept unchanged for continuity.
+``pointer-chase`` at a longer budget, kept for continuity with the
+trajectory.  The generic gates compare the production path against
+the reference walk at the standard 40 K budget, both sides measured
+as one interleaved pair (:func:`measure_pair`): on ``stream-llc`` the
+vector kernel engages on large consecutive batches, and on
+``pointer-chase`` the ~200-access batches of a 40 K budget sit above
+the kernel's engage floor.
 
 Run standalone for the acceptance check::
 
@@ -84,23 +68,18 @@ from repro.workloads import synthetic
 #: comparable measurement snapshots (schema 1 was one bare snapshot).
 SCHEMA_VERSION = 2
 
-#: PR1 gate, kept: fast lane vs. generic on streaming workloads.
-STREAMING_TARGET = 1.8
-
-#: Kernel gates, applied to the streaming benchmark (``stream-llc``).
-KERNEL_OVER_FASTLANE_TARGET = 1.7
+#: Kernel gate, applied to the streaming benchmark (``stream-llc``).
 KERNEL_OVER_GENERIC_TARGET = 3.0
 
-#: Vector (tier-4) gates: vector over kernel, per workload, at the
-#: workload's amortisation budget (see the module docstring).
+#: Vector gates: vector over kernel, per workload, at the workload's
+#: amortisation budget (see the module docstring).
 VECTOR_OVER_KERNEL_STREAM_TARGET = 3.0
 VECTOR_OVER_KERNEL_CHASE_TARGET = 1.5
 
-#: Ownership (tier-5) gates: the current vector tier over the rebuilt
-#: PR-6 legacy vector tier (dict ownership walks, scalar private
-#: fills), both at the standard 40 K budget.
-OWNER_OVER_LEGACY_STREAM_TARGET = 1.3
-OWNER_OVER_LEGACY_CHASE_TARGET = 1.2
+#: Generic gates: the production path over the reference walk, per
+#: workload, at the standard 40 K budget.
+VECTOR_OVER_GENERIC_STREAM_TARGET = 18.0
+VECTOR_OVER_GENERIC_CHASE_TARGET = 5.0
 
 #: Maximum allowed slowdown of a fully traced engine run (ring-buffer
 #: sink) over an untraced one.
@@ -120,52 +99,33 @@ DEFAULT_BUDGET = 40_000.0
 CHASE_GATE_BUDGET = 360_000.0
 
 #: Environment variables a tier tuple maps onto, in order.
-_ENV_KEYS = (
-    "REPRO_FAST_LANE",
-    "REPRO_BULK_KERNEL",
-    "REPRO_VECTOR_KERNEL",
-    "REPRO_OWNER_ARRAYS",
-    "REPRO_VECTOR_FILLS",
-)
+_ENV_KEYS = ("REPRO_FAST_LANE", "REPRO_VECTOR_KERNEL")
 
-#: tier -> (REPRO_FAST_LANE, REPRO_BULK_KERNEL, REPRO_VECTOR_KERNEL,
-#: REPRO_OWNER_ARRAYS, REPRO_VECTOR_FILLS).  The tier-5 gates stay on
-#: everywhere (production defaults); tiers without a flat L3 simply
-#: ignore them.
+#: tier -> (REPRO_FAST_LANE, REPRO_VECTOR_KERNEL).
 TIERS = {
-    "generic": ("0", "0", "0", "1", "1"),
-    "fastlane": ("1", "0", "0", "1", "1"),
-    "kernel": ("1", "1", "0", "1", "1"),
-    "vector": ("1", "1", "1", "1", "1"),
+    "generic": ("0", "0"),
+    "kernel": ("1", "0"),
+    "vector": ("1", "1"),
 }
 
-#: The PR-6 vector tier, rebuilt: numpy classify/commit but dict
-#: ownership walks and scalar private fills.  Comparator for the
-#: ownership gates.
-LEGACY_VECTOR_ENV = ("1", "1", "1", "0", "0")
-
-#: name -> (factory, streaming gate applies, kernel gate applies,
-#: vector gate spec or None, ownership gate spec or None).
-#: ``stream-llc`` is *the* streaming benchmark of the acceptance
-#: criteria: a cyclic sweep well past the L3, every fourth access a
-#: fresh line.  ``stream-l2`` stresses the L3-hit walk (informational
-#: for the kernel and vector gates: the walk is a handful of C-level
+#: name -> (factory, kernel gate applies, vector gate spec or None,
+#: generic gate spec or None).  ``stream-llc`` is *the* streaming
+#: benchmark of the acceptance criteria: a cyclic sweep well past the
+#: L3, every fourth access a fresh line.  ``stream-l2`` stresses the
+#: L3-hit walk (informational: the walk is a handful of C-level
 #: operations either way, so the batched win is structurally smaller
-#: there — and it barely touches L3 ownership, so it carries no
-#: ownership gate either).
+#: there).
 WORKLOADS = {
     "stream-llc": (
         lambda: synthetic.streamer(lines=70_000, instructions=1e9),
         True,
-        True,
         {"target": VECTOR_OVER_KERNEL_STREAM_TARGET,
          "budget": DEFAULT_BUDGET},
-        {"target": OWNER_OVER_LEGACY_STREAM_TARGET,
+        {"target": VECTOR_OVER_GENERIC_STREAM_TARGET,
          "budget": DEFAULT_BUDGET},
     ),
     "stream-l2": (
         lambda: synthetic.streamer(lines=512, instructions=1e9),
-        True,
         False,
         None,
         None,
@@ -173,17 +133,16 @@ WORKLOADS = {
     "pointer-chase": (
         lambda: synthetic.pointer_chaser(lines=70_000, instructions=1e9),
         False,
-        False,
         {"target": VECTOR_OVER_KERNEL_CHASE_TARGET,
          "budget": CHASE_GATE_BUDGET},
-        {"target": OWNER_OVER_LEGACY_CHASE_TARGET,
+        {"target": VECTOR_OVER_GENERIC_CHASE_TARGET,
          "budget": DEFAULT_BUDGET},
     ),
 }
 
 
 def measure(
-    tier: str | tuple,
+    tier: str,
     factory,
     warm: int,
     timed: int,
@@ -192,18 +151,17 @@ def measure(
 ) -> float:
     """Best-of-``reps`` accesses/second for one execution tier.
 
-    ``tier`` is a name from :data:`TIERS` or a raw five-element env
-    tuple (e.g. :data:`LEGACY_VECTOR_ENV`).  The gates are read at
-    object construction, so the chip is built after setting the
-    environment; the workload restarts when it finishes so the
-    measured stream is steady-state.  Best-of-N is the standard
-    defence against interpreter and scheduler noise (only slowdowns
-    are spurious).
+    The gates are read at object construction, so the chip is built
+    after setting the environment; the workload restarts when it
+    finishes so the measured stream is steady-state.  Best-of-N is the
+    standard defence against interpreter and scheduler noise (only
+    slowdowns are spurious).
     """
-    env = TIERS[tier] if isinstance(tier, str) else tier
     best = 0.0
     for _ in range(max(1, reps)):
-        best = max(best, _measure_once(env, factory, warm, timed, budget))
+        best = max(
+            best, _measure_once(TIERS[tier], factory, warm, timed, budget)
+        )
     return best
 
 
@@ -238,8 +196,8 @@ def _measure_once(
 
 
 def measure_pair(
-    tier_a: str | tuple,
-    tier_b: str | tuple,
+    tier_a: str,
+    tier_b: str,
     factory,
     warm: int,
     timed: int,
@@ -255,48 +213,35 @@ def measure_pair(
     noise environment, so best-of-N cancels drift instead of baking
     it into the comparison.
     """
-    env_a = TIERS[tier_a] if isinstance(tier_a, str) else tier_a
-    env_b = TIERS[tier_b] if isinstance(tier_b, str) else tier_b
     best_a = best_b = 0.0
     for _ in range(max(1, reps)):
-        best_a = max(
-            best_a, _measure_once(env_a, factory, warm, timed, budget)
-        )
-        best_b = max(
-            best_b, _measure_once(env_b, factory, warm, timed, budget)
-        )
+        best_a = max(best_a, _measure_once(
+            TIERS[tier_a], factory, warm, timed, budget))
+        best_b = max(best_b, _measure_once(
+            TIERS[tier_b], factory, warm, timed, budget))
     return best_a, best_b
 
 
 def run_suite(
-    warm: int, timed: int, reps: int = 3, vector_gates: bool = True
+    warm: int, timed: int, reps: int = 3, gates: bool = True
 ) -> list[dict]:
     """One row per workload: tier throughputs, ratios, gate data.
 
-    ``vector_gates=False`` (smoke runs) skips the separate
-    long-budget kernel-vs-vector measurements; the main table still
-    carries all four tiers at the default budget.  The ownership
-    gates run in both modes: they measure the new and the legacy
-    vector tiers as one interleaved pair at the standard budget,
-    which is cheap and keeps the ratio drift-free.
+    ``gates=False`` (smoke runs) skips the separate gate measurements;
+    the main table still carries all three tiers at the default
+    budget.
     """
     rows = []
-    for name, (factory, is_streaming, kernel_gated, vgate,
-               ogate) in WORKLOADS.items():
+    for name, (factory, kernel_gated, vgate, ggate) in WORKLOADS.items():
         tiers = {
             tier: measure(tier, factory, warm, timed, reps=reps)
             for tier in TIERS
         }
         row = {
             "workload": name,
-            "streaming": is_streaming,
             "kernel_gated": kernel_gated,
             "tiers": tiers,
             "ratios": {
-                "fastlane_over_generic":
-                    tiers["fastlane"] / tiers["generic"],
-                "kernel_over_fastlane":
-                    tiers["kernel"] / tiers["fastlane"],
                 "kernel_over_generic":
                     tiers["kernel"] / tiers["generic"],
                 "vector_over_kernel":
@@ -305,24 +250,24 @@ def run_suite(
                     tiers["vector"] / tiers["generic"],
             },
             "vector_gate": None,
-            "ownership_gate": None,
+            "generic_gate": None,
         }
-        if ogate is not None:
+        if ggate is not None and gates:
             # Fresh interleaved pair instead of reusing the main
-            # table's vector number: the gate is a ratio, and the two
-            # sides must share one noise environment (measure_pair).
-            vector, legacy = measure_pair(
-                "vector", LEGACY_VECTOR_ENV, factory, warm, timed,
-                budget=ogate["budget"], reps=reps,
+            # table's numbers: the gate is a ratio, and the two sides
+            # must share one noise environment (measure_pair).
+            vector, generic = measure_pair(
+                "vector", "generic", factory, warm, timed,
+                budget=ggate["budget"], reps=reps,
             )
-            row["ownership_gate"] = {
-                "budget": ogate["budget"],
-                "target": ogate["target"],
-                "legacy_vector": legacy,
+            row["generic_gate"] = {
+                "budget": ggate["budget"],
+                "target": ggate["target"],
+                "generic": generic,
                 "vector": vector,
-                "vector_over_legacy": vector / legacy,
+                "vector_over_generic": vector / generic,
             }
-        if vgate is not None and vector_gates:
+        if vgate is not None and gates:
             if vgate["budget"] == DEFAULT_BUDGET:
                 kernel, vector = tiers["kernel"], tiers["vector"]
             else:
@@ -352,20 +297,17 @@ def run_suite(
 
 def render(rows: list[dict]) -> str:
     lines = [
-        f"{'workload':<14} {'generic/s':>10} {'fastlane/s':>10} "
-        f"{'kernel/s':>10} {'vector/s':>10} "
-        f"{'f/g':>6} {'k/f':>6} {'k/g':>6} {'v/k':>6}"
+        f"{'workload':<14} {'generic/s':>10} {'kernel/s':>10} "
+        f"{'vector/s':>10} {'k/g':>6} {'v/k':>6} {'v/g':>6}"
     ]
     for row in rows:
         t, r = row["tiers"], row["ratios"]
         lines.append(
             f"{row['workload']:<14} {t['generic']:>10.0f} "
-            f"{t['fastlane']:>10.0f} {t['kernel']:>10.0f} "
-            f"{t['vector']:>10.0f} "
-            f"{r['fastlane_over_generic']:>5.2f}x "
-            f"{r['kernel_over_fastlane']:>5.2f}x "
+            f"{t['kernel']:>10.0f} {t['vector']:>10.0f} "
             f"{r['kernel_over_generic']:>5.2f}x "
-            f"{r['vector_over_kernel']:>5.2f}x"
+            f"{r['vector_over_kernel']:>5.2f}x "
+            f"{r['vector_over_generic']:>5.2f}x"
         )
         gate = row.get("vector_gate")
         if gate is not None and gate["budget"] != DEFAULT_BUDGET:
@@ -376,15 +318,14 @@ def render(rows: list[dict]) -> str:
                 f"({gate['vector_over_kernel']:.2f}x, target "
                 f"{gate['target']}x)"
             )
-        ogate = row.get("ownership_gate")
-        if ogate is not None:
+        ggate = row.get("generic_gate")
+        if ggate is not None:
             lines.append(
-                f"{'':<14} ownership gate @ {ogate['budget']:.0f} "
-                f"cycles: legacy vector "
-                f"{ogate['legacy_vector']:.0f}/s, vector "
-                f"{ogate['vector']:.0f}/s "
-                f"({ogate['vector_over_legacy']:.2f}x, target "
-                f"{ogate['target']}x)"
+                f"{'':<14} generic gate @ {ggate['budget']:.0f} "
+                f"cycles: generic {ggate['generic']:.0f}/s, vector "
+                f"{ggate['vector']:.0f}/s "
+                f"({ggate['vector_over_generic']:.2f}x, target "
+                f"{ggate['target']}x)"
             )
     return "\n".join(lines)
 
@@ -397,20 +338,10 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
         if smoke:
             # CI machines are noisy: sanity ordering only, using the
             # ratios with structural (>= 2x) margin.
-            if r["fastlane_over_generic"] <= 1.0:
-                failures.append(
-                    f"{name}: fastlane slower than generic "
-                    f"({r['fastlane_over_generic']:.2f}x)"
-                )
             if r["kernel_over_generic"] <= 1.0:
                 failures.append(
                     f"{name}: kernel slower than generic "
                     f"({r['kernel_over_generic']:.2f}x)"
-                )
-            if row["kernel_gated"] and r["kernel_over_fastlane"] <= 1.0:
-                failures.append(
-                    f"{name}: kernel slower than fastlane "
-                    f"({r['kernel_over_fastlane']:.2f}x)"
                 )
             if r["vector_over_generic"] <= 1.0:
                 failures.append(
@@ -419,40 +350,21 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
                 )
             # vector-vs-kernel ordering is only structural where the
             # default budget amortises the batches (the kernel-gated
-            # streaming benchmark); pointer-chase stands down to
-            # parity at 40 K and parity-plus-noise may dip below 1.
+            # streaming benchmark); elsewhere the two sit near parity
+            # at 40 K and parity-plus-noise may dip below 1.
             if row["kernel_gated"] and r["vector_over_kernel"] <= 1.0:
                 failures.append(
                     f"{name}: vector slower than kernel "
                     f"({r['vector_over_kernel']:.2f}x)"
                 )
-            ogate = row.get("ownership_gate")
-            if ogate is not None and \
-                    ogate["vector_over_legacy"] <= 1.0:
-                failures.append(
-                    f"{name}: vector slower than legacy vector "
-                    f"({ogate['vector_over_legacy']:.2f}x)"
-                )
             continue
-        if row["streaming"] and \
-                r["fastlane_over_generic"] < STREAMING_TARGET:
+        if row["kernel_gated"] and \
+                r["kernel_over_generic"] < KERNEL_OVER_GENERIC_TARGET:
             failures.append(
-                f"{name}: fastlane {r['fastlane_over_generic']:.2f}x "
-                f"below the {STREAMING_TARGET}x streaming target"
+                f"{name}: kernel {r['kernel_over_generic']:.2f}x "
+                f"below the {KERNEL_OVER_GENERIC_TARGET}x "
+                f"over-generic target"
             )
-        if row["kernel_gated"]:
-            if r["kernel_over_fastlane"] < KERNEL_OVER_FASTLANE_TARGET:
-                failures.append(
-                    f"{name}: kernel {r['kernel_over_fastlane']:.2f}x "
-                    f"below the {KERNEL_OVER_FASTLANE_TARGET}x "
-                    f"over-fastlane target"
-                )
-            if r["kernel_over_generic"] < KERNEL_OVER_GENERIC_TARGET:
-                failures.append(
-                    f"{name}: kernel {r['kernel_over_generic']:.2f}x "
-                    f"below the {KERNEL_OVER_GENERIC_TARGET}x "
-                    f"over-generic target"
-                )
         gate = row.get("vector_gate")
         if gate is not None and \
                 gate["vector_over_kernel"] < gate["target"]:
@@ -461,13 +373,13 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
                 f"below the {gate['target']}x over-kernel target "
                 f"(at {gate['budget']:.0f}-cycle budget)"
             )
-        ogate = row.get("ownership_gate")
-        if ogate is not None and \
-                ogate["vector_over_legacy"] < ogate["target"]:
+        ggate = row.get("generic_gate")
+        if ggate is not None and \
+                ggate["vector_over_generic"] < ggate["target"]:
             failures.append(
-                f"{name}: vector {ogate['vector_over_legacy']:.2f}x "
-                f"below the {ogate['target']}x over-legacy-vector "
-                f"target (at {ogate['budget']:.0f}-cycle budget)"
+                f"{name}: vector {ggate['vector_over_generic']:.2f}x "
+                f"below the {ggate['target']}x over-generic target "
+                f"(at {ggate['budget']:.0f}-cycle budget)"
             )
     return failures
 
@@ -491,41 +403,34 @@ def build_point(rows: list[dict], warm: int, timed: int,
             "reps": reps,
         },
         "targets": {
-            "streaming_fastlane_over_generic": STREAMING_TARGET,
-            "kernel_over_fastlane": KERNEL_OVER_FASTLANE_TARGET,
             "kernel_over_generic": KERNEL_OVER_GENERIC_TARGET,
             "vector_over_kernel_stream":
                 VECTOR_OVER_KERNEL_STREAM_TARGET,
             "vector_over_kernel_chase":
                 VECTOR_OVER_KERNEL_CHASE_TARGET,
-            "owner_over_legacy_stream":
-                OWNER_OVER_LEGACY_STREAM_TARGET,
-            "owner_over_legacy_chase":
-                OWNER_OVER_LEGACY_CHASE_TARGET,
+            "vector_over_generic_stream":
+                VECTOR_OVER_GENERIC_STREAM_TARGET,
+            "vector_over_generic_chase":
+                VECTOR_OVER_GENERIC_CHASE_TARGET,
         },
-        # Which REPRO_* kernel gates each measured column ran under —
-        # without this, trajectory points from different builds are
-        # not comparable (a "vector" column could mean dict or array
-        # ownership depending on the era).
+        # Which REPRO_* execution gates each measured column ran
+        # under — without this, trajectory points from different
+        # builds are not comparable (earlier points measured more
+        # gates and tiers).
         "kernel_gates": {
             name: dict(zip(
-                ("fast_lane", "bulk_kernel", "vector_kernel",
-                 "owner_arrays", "vector_fills"),
+                ("fast_lane", "vector_kernel"),
                 (value == "1" for value in env),
             ))
-            for name, env in (
-                list(TIERS.items())
-                + [("legacy_vector", LEGACY_VECTOR_ENV)]
-            )
+            for name, env in TIERS.items()
         },
         "workloads": {
             row["workload"]: {
-                "streaming": row["streaming"],
                 "kernel_gated": row["kernel_gated"],
                 "tiers": row["tiers"],
                 "ratios": row["ratios"],
                 "vector_gate": row.get("vector_gate"),
-                "ownership_gate": row.get("ownership_gate"),
+                "generic_gate": row.get("generic_gate"),
             }
             for row in rows
         },
@@ -570,8 +475,8 @@ def write_report(path: Path, rows: list[dict], warm: int, timed: int,
 
 
 def profile_streaming_run(top: int = 20) -> None:
-    """cProfile one vector-tier streaming run; print top ``top`` by
-    cumulative time — the shopping list for future hot-path work."""
+    """cProfile one production-path streaming run; print top ``top``
+    by cumulative time — the shopping list for future hot-path work."""
     import cProfile
     import pstats
 
@@ -772,7 +677,7 @@ def record_export_overhead(path: Path, payload: dict) -> bool:
 
 def bench_simspeed_smoke():
     """Pytest entry: tier ordering must hold (no absolute thresholds)."""
-    rows = run_suite(warm=3, timed=10, reps=1, vector_gates=False)
+    rows = run_suite(warm=3, timed=10, reps=1, gates=False)
     print(render(rows))
     failures = check_gates(rows, smoke=True)
     assert not failures, "; ".join(failures)
@@ -889,7 +794,7 @@ def main(argv: list[str] | None = None) -> int:
         args.timed if args.timed is not None else (10 if args.smoke else 40)
     )
     reps = args.reps if args.reps is not None else (1 if args.smoke else 3)
-    rows = run_suite(warm, timed, reps, vector_gates=not args.smoke)
+    rows = run_suite(warm, timed, reps, gates=not args.smoke)
     print(render(rows))
 
     if args.json:
@@ -906,14 +811,12 @@ def main(argv: list[str] | None = None) -> int:
         "OK"
         if args.smoke
         else (
-            f"OK: streaming fastlane >= {STREAMING_TARGET}x, kernel >= "
-            f"{KERNEL_OVER_FASTLANE_TARGET}x fastlane / "
-            f"{KERNEL_OVER_GENERIC_TARGET}x generic, vector >= "
-            f"{VECTOR_OVER_KERNEL_STREAM_TARGET}x kernel on streaming / "
-            f"{VECTOR_OVER_KERNEL_CHASE_TARGET}x on pointer-chase, "
-            f"ownership >= {OWNER_OVER_LEGACY_STREAM_TARGET}x legacy "
-            f"vector on streaming / {OWNER_OVER_LEGACY_CHASE_TARGET}x "
-            f"on pointer-chase"
+            f"OK: kernel >= {KERNEL_OVER_GENERIC_TARGET}x generic, "
+            f"vector >= {VECTOR_OVER_KERNEL_STREAM_TARGET}x kernel on "
+            f"streaming / {VECTOR_OVER_KERNEL_CHASE_TARGET}x on "
+            f"pointer-chase, vector >= "
+            f"{VECTOR_OVER_GENERIC_STREAM_TARGET}x generic on streaming "
+            f"/ {VECTOR_OVER_GENERIC_CHASE_TARGET}x on pointer-chase"
         )
     )
     return 0

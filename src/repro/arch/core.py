@@ -25,35 +25,25 @@ from operator import add as _fadd
 import numpy as np
 
 from ..config import MachineConfig
-from .cache import fast_lane_enabled
 from .hierarchy import CacheHierarchy
 from .memory import MainMemory
 
 #: Upper bound on one address batch drawn from a pattern.
 _MAX_BATCH = 4096
 
-#: Smallest guaranteed-safe batch worth routing through the bulk
-#: kernel; below this the scalar tail loop finishes the budget.
+#: Smallest guaranteed-safe batch worth routing through
+#: ``access_many``; below this the scalar tail loop finishes the budget.
 _KERNEL_MIN_BATCH = 8
 
 #: Smallest per-budget access estimate for which the vector kernel's
-#: fixed per-batch dispatch cost amortises.  Miss-bound workloads that
-#: execute only a couple hundred accesses per cycle budget run faster
-#: through the scalar bulk kernel, so the vector path stands down; the
-#: estimate is refreshed from every budget-limited run (whichever tier
-#: executed it), so a later phase change re-engages the vector path.
-_VECTOR_MIN_EST = 384
-
-#: The stand-down floor for the tier-5 build (``REPRO_VECTOR_FILLS``
-#: doubles as its construction-time marker): with batches served as
-#: array slices by the pattern layer and the owner bitmask column
-#: replacing the per-line dict walk, the commit's fixed dispatch cost
-#: amortises far sooner — the measured engage break-even on the
-#: pointer-chase shape sits between ~100 and ~150 accesses, so the
-#: ~200-access batches of a standard 40 K budget now profit from the
-#: vector tier.  Below the floor the scalar bulk kernel — still over
-#: the array-backed ownership store — remains the fastest path.
-_VECTOR_MIN_EST_BATCHED = 128
+#: fixed per-batch dispatch cost amortises (the measured engage
+#: break-even on the pointer-chase shape sits between ~100 and ~150
+#: accesses, so the ~200-access batches of a standard 40 K budget
+#: profit).  Below it, ``access_many`` is the faster path, so the
+#: vector kernel stands down; the estimate is refreshed from every
+#: budget-limited run (whichever path executed it), so a later phase
+#: change re-engages the vector kernel.
+_VECTOR_MIN_EST = 128
 
 
 class Core:
@@ -82,7 +72,6 @@ class Core:
         self._extra_stall = (0.0, 0.0, float(lat.l2 - lat.l1),
                              float(lat.l3 - lat.l1))
         self._l1_latency = float(lat.l1)
-        self._fast_lane = fast_lane_enabled()
         # Cycles the in-flight access of the previous run() call owes
         # beyond its budget; deducted from the next budget so cycle
         # accounting never exceeds the sum of granted budgets.
@@ -90,12 +79,6 @@ class Core:
         # Running estimate of how many accesses one cycle budget
         # executes, sizing the vector kernel's batches (see run()).
         self._vector_est = 512
-        # Per-core stand-down floor: lower when the hierarchy's
-        # batched private fill is available (tier-5 commit).
-        self._vector_min_est = (
-            _VECTOR_MIN_EST_BATCHED
-            if hierarchy._vector_fills else _VECTOR_MIN_EST
-        )
 
     def run(self, process: "object", cycle_budget: float,
             start_cycle: float = 0.0) -> float:
@@ -128,20 +111,17 @@ class Core:
         extra = self._extra_stall
         l1_lat = self._l1_latency
         cid = self.core_id
-        # Fast lane: inline the L1 MRU-hit check when it is provably
-        # equivalent to the generic walk; hit counts are accumulated
-        # locally and flushed per chunk.  Flat LRU caches expose the
-        # MRU tag directly; FIFO/Random keep per-set lists.
+        # A flat (LRU, fast-lane) L1 lets the scalar loop inline the
+        # L1 MRU-hit check: re-touching the MRU line is an LRU no-op.
+        # Hit counts are accumulated locally and flushed per chunk.
+        # With writebacks modelled every access must run the store
+        # accumulator inside access(), so the reference loop runs.
         l1 = hierarchy.l1[cid]
-        flat = l1._flat
-        if flat:
-            l1_mru = l1._mru
-        else:
-            l1_sets = l1._sets
+        l1_mru = l1._mru if l1._flat else None
         l1_mask = l1._set_mask
         l1_stats = l1.stats
         counters = hierarchy.counters[cid]
-        fast = self._fast_lane and hierarchy.l1_mru_fastpath_ok(cid)
+        inline_mru = l1._flat and not hierarchy._writebacks_enabled
 
         while used < cycle_budget and not process.finished:
             phase = process.current_phase()
@@ -154,9 +134,10 @@ class Core:
             chunk = process.accesses_left_in_phase()
             done = 0
             mru_hits = 0
-            if flat and hierarchy.bulk_kernel_ok(cid):
-                # Bulk kernel: whole batches through access_many, with
-                # cycle accounting from the returned serving levels.
+            if hierarchy.bulk_kernel_ok(cid):
+                # Production path: whole batches through access_many
+                # (or the vector kernel), with cycle accounting from
+                # the returned serving levels.
                 # The per-level costs are the exact expressions the
                 # scalar loop evaluates per access (the memory channel
                 # prices every access in a period identically), so the
@@ -171,7 +152,7 @@ class Core:
                 costs = (0.0, cpa, c2, c3, c4)
                 worst = max(cpa, c2, c3, c4)
                 vector = (hierarchy.vector_kernel_ok(cid)
-                          and self._vector_est >= self._vector_min_est)
+                          and self._vector_est >= _VECTOR_MIN_EST)
                 if vector:
                     take_array = phase.take_addresses_array
                     vec_classify = hierarchy.vector_classify
@@ -209,7 +190,7 @@ class Core:
                         if plan is None:
                             # Not provably uniform: return the batch
                             # untouched and finish this chunk on the
-                            # worst-case-sized scalar kernel.
+                            # worst-case-sized access_many batches.
                             phase.push_back_array(addr_arr, 0)
                             vector = False
                             continue
@@ -228,7 +209,7 @@ class Core:
                             # invalidated hit prediction, an own-core
                             # back-invalidation): nothing was mutated
                             # and the pricing may be wrong, so hand
-                            # the whole batch to the scalar ladder.
+                            # the whole batch to access_many.
                             phase.push_back_array(addr_arr, 0)
                             vector = False
                             continue
@@ -283,32 +264,13 @@ class Core:
                     batch = _MAX_BATCH
                 addrs = take_addresses(batch)
                 consumed = batch
-                if fast and flat:
+                if inline_mru:
                     for i, addr in enumerate(addrs):
                         if used >= cycle_budget:
                             push_back(addrs, i)
                             consumed = i
                             break
                         if l1_mru[addr & l1_mask] == addr:
-                            mru_hits += 1
-                            used += cpa
-                            continue
-                        level = hier_access(cid, addr)
-                        if level == 1:
-                            used += cpa
-                        elif level == 4:
-                            stall = mem_access(start_cycle + used) - l1_lat
-                            used += cpa + stall * inv_overlap
-                        else:
-                            used += cpa + extra[level] * inv_overlap
-                elif fast:
-                    for i, addr in enumerate(addrs):
-                        if used >= cycle_budget:
-                            push_back(addrs, i)
-                            consumed = i
-                            break
-                        contents = l1_sets[addr & l1_mask]
-                        if contents and contents[-1] == addr:
                             mru_hits += 1
                             used += cpa
                             continue
@@ -345,7 +307,7 @@ class Core:
         if used >= cycle_budget and total_accesses:
             # Budget-limited run: what it executed is what one budget
             # buys — the estimate the vector kernel's batch sizing (and
-            # its stand-down threshold) needs, whichever tier ran.
+            # its stand-down threshold) needs, whichever path ran.
             self._vector_est = total_accesses
         if used > cycle_budget:
             # The final access overshot; carry the excess into the next

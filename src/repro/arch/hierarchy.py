@@ -27,13 +27,7 @@ from time import perf_counter as _perf_counter
 from ..config import MachineConfig
 from ..errors import ConfigError
 from ..obs.profiling import PROFILER as _PROFILER
-from .cache import (
-    SetAssociativeCache,
-    bulk_kernel_enabled,
-    debug_invariants_enabled,
-    owner_arrays_enabled,
-    vector_fills_enabled,
-)
+from .cache import SetAssociativeCache, debug_invariants_enabled
 from .replacement import make_policy
 from .vector_kernel import classify as _vector_classify
 from .vector_kernel import commit as _vector_commit
@@ -143,31 +137,22 @@ class CacheHierarchy:
         self.memory = None
         # Owner sets: which cores pulled each resident L3 line in.  Used
         # for back-invalidation targeting and per-core occupancy stats.
+        # This dict is the reference walk's store.
         self._l3_owners: dict[int, set[int]] = {}
         self._occupancy = [0] * n
-        # Tier-5 ownership store: a per-slot owner bitmask column on
-        # the flat L3 (bit c = core c owns the line in that slot)
-        # replacing the dict-of-sets walks with index math the batched
-        # kernels can gather/scatter.  Requires flat storage (the
-        # column is slot-indexed), an inclusive L3 (the only
-        # configuration whose eviction fan-out is hot enough to earn
-        # the column; non-inclusive hierarchies refuse the array path
-        # and stay on the reference dict), and core count within an
-        # int64's non-sign bits.  The dict stays the reference tier
-        # (`REPRO_OWNER_ARRAYS=0`), proven bit-identical by the
-        # differential suite.
+        # The production path's ownership store: a per-slot owner
+        # bitmask column on the flat L3 (bit c = core c owns the line
+        # in that slot), which the batched walks gather and scatter
+        # with index math.  It needs flat storage (the column is
+        # slot-indexed), an inclusive L3 (the only configuration the
+        # production path models), and a core count within an int64's
+        # non-sign bits.  Every other machine keeps the reference dict
+        # and, with it, the reference walk (see bulk_kernel_ok).
         self._owner_arrays = (
-            owner_arrays_enabled()
-            and self.l3._flat
-            and machine.l3_inclusive
-            and n <= 63
+            self.l3._flat and machine.l3_inclusive and n <= 63
         )
         if self._owner_arrays:
             self.l3.attach_owner_column()
-        # Whether the vector kernel may use the batched index-math
-        # private fill (REPRO_VECTOR_FILLS; the PR-6 reconstruction
-        # knob of bench_simspeed's ownership gates).
-        self._vector_fills = vector_fills_enabled()
         # Opt-in self-checks after every batch (differential suite).
         self._debug_invariants = debug_invariants_enabled()
         # Prebound per-core hot-path verbs (picks up the caches'
@@ -178,10 +163,6 @@ class CacheHierarchy:
         self._l2_probes = [cache.probe for cache in self.l2]
         self._l2_fills = [cache.fill for cache in self.l2]
         self._l3_probe = self.l3.probe
-        # Whether the bulk-access kernel may be used at all (flat-array
-        # LRU storage is a separate per-cache property; see
-        # bulk_kernel_ok for the full predicate).
-        self._bulk_enabled = bulk_kernel_enabled()
 
     # -- hot path ------------------------------------------------------
 
@@ -246,11 +227,11 @@ class CacheHierarchy:
 
         Semantically identical to ``[self.access(core, a) for a in
         addrs]`` — and that is literally what runs when
-        :meth:`bulk_kernel_ok` denies the kernel (non-LRU policies,
-        writebacks, prefetch, an L3 quota on this core, or
-        ``REPRO_BULK_KERNEL=0``).  On the kernel path all hot state is
-        hoisted into locals, the L1/L2/L3 probes and fills are inlined
-        over the flat tag arrays, and per-access counter increments
+        :meth:`bulk_kernel_ok` denies the production path (the
+        reference walk's configs, or an L3 quota on this core).  On the
+        production path all hot state is hoisted into locals, the
+        L1/L2/L3 probes and fills are inlined over the flat tag arrays
+        and the L3 owner column, and per-access counter increments
         become batch-local integer deltas flushed into
         :class:`HierarchyCounters` (and the per-cache stats) once at
         the end.  Runs of identical consecutive addresses collapse into
@@ -306,15 +287,10 @@ class CacheHierarchy:
         l3_res_discard = l3_res.discard
         l1_invalidate = l1.invalidate
         l2_invalidate = l2.invalidate
-        owners_map = self._l3_owners
-        owners_get = owners_map.get
-        owners_pop = owners_map.pop
         occupancy = self._occupancy
-        owner_arrays = self._owner_arrays
         l3_owner = l3._owner_tags
         own_bit = 1 << core
         counters_all = self.counters
-        inclusive = self._inclusive
         l1_caches = self.l1
         l2_caches = self.l2
         counters_core = counters_all[core]
@@ -442,10 +418,9 @@ class CacheHierarchy:
                 if fill < l3_assoc:
                     top = base3 + fill
                     w = l3_tags.index(addr, base3, top)
-                    if owner_arrays:
-                        ob = l3_owner[w]
-                        l3_owner[w:top - 1] = l3_owner[w + 1:top]
-                        l3_owner[top - 1] = ob
+                    ob = l3_owner[w]
+                    l3_owner[w:top - 1] = l3_owner[w + 1:top]
+                    l3_owner[top - 1] = ob
                     l3_tags[w:top - 1] = l3_tags[w + 1:top]
                     l3_tags[top - 1] = addr
                 else:
@@ -453,21 +428,18 @@ class CacheHierarchy:
                     w = l3_tags.index(addr, base3, base3 + l3_assoc)
                     tail = base3 + (head - 1 if head else l3_assoc - 1)
                     if w <= tail:
-                        if owner_arrays:
-                            ob = l3_owner[w]
-                            l3_owner[w:tail] = l3_owner[w + 1:tail + 1]
-                            l3_owner[tail] = ob
+                        ob = l3_owner[w]
+                        l3_owner[w:tail] = l3_owner[w + 1:tail + 1]
+                        l3_owner[tail] = ob
                         l3_tags[w:tail] = l3_tags[w + 1:tail + 1]
                         l3_tags[tail] = addr
                     else:
                         end = base3 + l3_assoc - 1
-                        if owner_arrays:
-                            ob = l3_owner[w]
-                            l3_owner[w:end] = l3_owner[w + 1:end + 1]
-                            l3_owner[end] = l3_owner[base3]
-                            l3_owner[base3:tail] = \
-                                l3_owner[base3 + 1:tail + 1]
-                            l3_owner[tail] = ob
+                        ob = l3_owner[w]
+                        l3_owner[w:end] = l3_owner[w + 1:end + 1]
+                        l3_owner[end] = l3_owner[base3]
+                        l3_owner[base3:tail] = l3_owner[base3 + 1:tail + 1]
+                        l3_owner[tail] = ob
                         l3_tags[w:end] = l3_tags[w + 1:end + 1]
                         l3_tags[end] = l3_tags[base3]
                         l3_tags[base3:tail] = l3_tags[base3 + 1:tail + 1]
@@ -478,24 +450,18 @@ class CacheHierarchy:
                 hit = False
             if hit:
                 nh3 += 1
-                if owner_arrays:
-                    # The hit line is now its set's logical tail.
-                    fill = l3_fill[si3]
-                    if fill < l3_assoc:
-                        slot = si3 * l3_assoc + fill - 1
-                    else:
-                        head = l3_heads[si3]
-                        slot = si3 * l3_assoc + \
-                            (head - 1 if head else l3_assoc - 1)
-                    ob = l3_owner[slot]
-                    if not ob & own_bit:
-                        l3_owner[slot] = ob | own_bit
-                        occupancy[core] += 1
+                # The hit line is now its set's logical tail.
+                fill = l3_fill[si3]
+                if fill < l3_assoc:
+                    slot = si3 * l3_assoc + fill - 1
                 else:
-                    owners = owners_get(addr)
-                    if owners is not None and core not in owners:
-                        owners.add(core)
-                        occupancy[core] += 1
+                    head = l3_heads[si3]
+                    slot = si3 * l3_assoc + \
+                        (head - 1 if head else l3_assoc - 1)
+                ob = l3_owner[slot]
+                if not ob & own_bit:
+                    l3_owner[slot] = ob | own_bit
+                    occupancy[core] += 1
                 level = 3
             else:
                 nm3 += 1
@@ -512,89 +478,37 @@ class CacheHierarchy:
                     l3_heads[si3] = head + 1 if head + 1 < l3_assoc else 0
                     l3_res_discard(victim)
                     ev3 += 1
-                    if owner_arrays:
-                        # The victim's owner mask sits in the slot the
-                        # new tag just overwrote; decode it before
-                        # replacing it with our own bit.
-                        vmask = l3_owner[slot]
-                        if vmask == own_bit:
-                            # Dominant case: evicting our own line.
-                            # The mask carries over unchanged and the
-                            # occupancy -1/+1 cancels.
-                            if inclusive:
-                                inv = False
-                                if victim in l2_res:
-                                    l2_invalidate(victim)
-                                    inv = True
-                                if victim in l1_res:
-                                    l1_invalidate(victim)
-                                    inv = True
-                                if inv:
-                                    counters_core.back_invalidations += 1
-                        elif vmask == 0:
-                            l3_owner[slot] = own_bit
-                            occupancy[core] += 1
-                        else:
-                            m = vmask
-                            owner = 0
-                            while m:
-                                if m & 1:
-                                    occupancy[owner] -= 1
-                                    if owner == core:
-                                        if inclusive:
-                                            inv = False
-                                            if victim in l2_res:
-                                                l2_invalidate(victim)
-                                                inv = True
-                                            if victim in l1_res:
-                                                l1_invalidate(victim)
-                                                inv = True
-                                            if inv:
-                                                counters_core.back_invalidations += 1
-                                    else:
-                                        counters_all[owner].lines_stolen += 1
-                                        if inclusive:
-                                            invalidated = l2_caches[
-                                                owner
-                                            ].invalidate(victim)
-                                            invalidated |= l1_caches[
-                                                owner
-                                            ].invalidate(victim)
-                                            if invalidated:
-                                                counters_all[
-                                                    owner
-                                                ].back_invalidations += 1
-                                m >>= 1
-                                owner += 1
-                            l3_owner[slot] = own_bit
-                            occupancy[core] += 1
-                    elif (owners := owners_pop(victim, None)) is None:
-                        owners_map[addr] = {core}
-                        occupancy[core] += 1
-                    elif len(owners) == 1 and core in owners:
+                    # The victim's owner mask sits in the slot the new
+                    # tag just overwrote; decode it before replacing it
+                    # with our own bit.  The L3 is inclusive (the owner
+                    # column implies it), so every owner's private
+                    # copies are back-invalidated.
+                    vmask = l3_owner[slot]
+                    if vmask == own_bit:
                         # Dominant case: evicting our own line.  The
-                        # victim's occupancy -1 cancels the new line's
-                        # +1 and the ownership set moves over as-is.
-                        if inclusive:
-                            # Back-invalidate our own private caches;
-                            # the resident sets give the (almost
-                            # always negative) verdict in one hash
-                            # probe each.
-                            inv = False
-                            if victim in l2_res:
-                                l2_invalidate(victim)
-                                inv = True
-                            if victim in l1_res:
-                                l1_invalidate(victim)
-                                inv = True
-                            if inv:
-                                counters_core.back_invalidations += 1
-                        owners_map[addr] = owners
+                        # mask carries over unchanged and the occupancy
+                        # -1/+1 cancels.  The resident sets give the
+                        # (almost always negative) verdict in one hash
+                        # probe each.
+                        inv = False
+                        if victim in l2_res:
+                            l2_invalidate(victim)
+                            inv = True
+                        if victim in l1_res:
+                            l1_invalidate(victim)
+                            inv = True
+                        if inv:
+                            counters_core.back_invalidations += 1
+                    elif vmask == 0:
+                        l3_owner[slot] = own_bit
+                        occupancy[core] += 1
                     else:
-                        for owner in owners:
-                            occupancy[owner] -= 1
-                            if owner == core:
-                                if inclusive:
+                        m = vmask
+                        owner = 0
+                        while m:
+                            if m & 1:
+                                occupancy[owner] -= 1
+                                if owner == core:
                                     inv = False
                                     if victim in l2_res:
                                         l2_invalidate(victim)
@@ -604,9 +518,8 @@ class CacheHierarchy:
                                         inv = True
                                     if inv:
                                         counters_core.back_invalidations += 1
-                            else:
-                                counters_all[owner].lines_stolen += 1
-                                if inclusive:
+                                else:
+                                    counters_all[owner].lines_stolen += 1
                                     invalidated = l2_caches[
                                         owner
                                     ].invalidate(victim)
@@ -617,20 +530,14 @@ class CacheHierarchy:
                                         counters_all[
                                             owner
                                         ].back_invalidations += 1
-                        # Reuse the popped set for the new line's
-                        # ownership record instead of allocating one
-                        # per miss.
-                        owners.clear()
-                        owners.add(core)
-                        owners_map[addr] = owners
+                            m >>= 1
+                            owner += 1
+                        l3_owner[slot] = own_bit
                         occupancy[core] += 1
                 else:
                     l3_tags[base3 + fill] = addr
                     l3_fill[si3] = fill + 1
-                    if owner_arrays:
-                        l3_owner[base3 + fill] = own_bit
-                    else:
-                        owners_map[addr] = {core}
+                    l3_owner[base3 + fill] = own_bit
                     occupancy[core] += 1
                 l3_res_add(addr)
                 l3_mru[si3] = addr
@@ -784,8 +691,9 @@ class CacheHierarchy:
         ``SetAssociativeCache.fill`` never touches the owner column, so
         on eviction the victim's bitmask is still sitting in the slot
         the new tag landed in — decode it there, fan out the occupancy
-        pops / stolen-line counts / back-invalidations, then claim the
-        slot with this core's bit.
+        pops / stolen-line counts / back-invalidations (the column
+        implies an inclusive L3), then claim the slot with this core's
+        bit.
         """
         l3 = self.l3
         si = addr & l3._set_mask
@@ -806,11 +714,10 @@ class CacheHierarchy:
                     self._occupancy[owner] -= 1
                     if owner != core:
                         self.counters[owner].lines_stolen += 1
-                    if self._inclusive:
-                        invalidated = self.l2[owner].invalidate(victim)
-                        invalidated |= self.l1[owner].invalidate(victim)
-                        if invalidated:
-                            self.counters[owner].back_invalidations += 1
+                    invalidated = self.l2[owner].invalidate(victim)
+                    invalidated |= self.l1[owner].invalidate(victim)
+                    if invalidated:
+                        self.counters[owner].back_invalidations += 1
                 m >>= 1
                 owner += 1
         owner_tags[slot] = 1 << core
@@ -852,17 +759,14 @@ class CacheHierarchy:
                     while m:
                         if m & 1:
                             self._occupancy[owner] -= 1
-                            if self._inclusive:
-                                invalidated = self.l2[owner].invalidate(
-                                    candidate
-                                )
-                                invalidated |= self.l1[owner].invalidate(
-                                    candidate
-                                )
-                                if invalidated and owner != core:
-                                    self.counters[
-                                        owner
-                                    ].back_invalidations += 1
+                            invalidated = self.l2[owner].invalidate(
+                                candidate
+                            )
+                            invalidated |= self.l1[owner].invalidate(
+                                candidate
+                            )
+                            if invalidated and owner != core:
+                                self.counters[owner].back_invalidations += 1
                         m >>= 1
                         owner += 1
                     return
@@ -882,52 +786,38 @@ class CacheHierarchy:
                             self.counters[owner].back_invalidations += 1
                 return
 
-    def l1_mru_fastpath_ok(self, core: int) -> bool:
-        """Whether ``core`` may inline the L1 MRU-hit check.
-
-        Requires the L1 policy to treat a re-touch of the MRU line as a
-        no-op (LRU/FIFO/Random, with specialization on) and writeback
-        modelling to be off — with stores modelled, every access must
-        run the store accumulator inside :meth:`access`.
-        """
-        return self.l1[core].hit_is_mru_noop and \
-            not self._writebacks_enabled
-
     def bulk_kernel_ok(self, core: int) -> bool:
-        """Whether ``core`` may route batches through :meth:`access_many`.
+        """Whether ``core`` may take the production path.
 
-        The single predicate centralising every fallback condition (the
-        bulk sibling of :meth:`l1_mru_fastpath_ok`): the kernel inlines
-        flat-array LRU walks only, so every level this core touches
-        must use the flat storage (plain LRU with specialization on),
-        and the per-access side channels the kernel does not model —
-        the store accumulator (writebacks), the next-line prefetcher,
-        and this core's L3 occupancy quota — must all be off.  Quotas
-        arrive mid-run (CAER's response hook), so the answer can change
-        between periods; callers re-check per batch loop.
+        The single predicate routing between the two paths.  The
+        production path (:meth:`access_many` and the vector kernel)
+        inlines flat-array LRU walks over the L3 owner column, so it
+        needs that column — which implies plain LRU with the fast lane
+        on, an inclusive L3 and at most 63 cores — and the per-access
+        side channels it does not model off: the store accumulator
+        (writebacks), the next-line prefetcher, and this core's L3
+        occupancy quota.  Everything else runs the reference walk.
+        Quotas arrive mid-run (CAER's response hook), so the answer
+        can change between periods; callers re-check per batch loop.
         """
         return (
-            self._bulk_enabled
+            self._owner_arrays
             and not self._writebacks_enabled
             and not self._prefetch_degree
             and self._l3_quota[core] is None
-            and self.l1[core]._flat
-            and self.l2[core]._flat
-            and self.l3._flat
         )
 
     def vector_kernel_ok(self, core: int) -> bool:
         """Whether ``core`` may route batches through the vector kernel.
 
-        Tier 4 sits strictly above the bulk kernel in the fallback
-        ladder: everything :meth:`bulk_kernel_ok` requires, plus the
+        Everything :meth:`bulk_kernel_ok` requires, plus the
         ``array('q')``-backed storage (with its numpy views) on the
         shared L3 — which
         :class:`repro.arch.cache.SetAssociativeCache` only allocates
         when ``REPRO_VECTOR_KERNEL`` was on at construction.  The
         private levels stay list-backed (the vector kernel fills them
         with scalar verbs; their capacities are too small for numpy to
-        win), so only the L3 storage gates the tier.
+        win), so only the L3 storage gates the kernel.
         """
         return self.bulk_kernel_ok(core) and self.l3._vector
 
@@ -959,7 +849,7 @@ class CacheHierarchy:
 
         ``False`` means the bulk update could not replay the sequential
         walk and nothing was mutated; the caller must re-route the
-        untouched batch through the scalar ladder.
+        untouched batch through :meth:`access_many`.
 
         Profiled into ``profile.vector_commit_seconds`` when span
         profiling is armed (see :meth:`vector_classify`).
@@ -986,9 +876,10 @@ class CacheHierarchy:
     def l3_owner_sets(self) -> dict[int, set[int]]:
         """Reconstruct ``addr -> owning cores`` from the active store.
 
-        Store-agnostic inspection seam: the dict tier returns a deep
-        copy of ``_l3_owners``; the array tier decodes each occupied
-        slot's bitmask.  Differential tests compare the two directly.
+        Store-agnostic inspection seam: the reference walk returns a
+        deep copy of ``_l3_owners``; the production path decodes each
+        occupied slot's bitmask.  Differential tests compare the two
+        directly.
         """
         if not self._owner_arrays:
             return {a: set(o) for a, o in self._l3_owners.items()}

@@ -1,11 +1,12 @@
-"""Tier-4 vectorized bulk-access kernel.
+"""The production path's numpy vector kernel.
 
-The PR5 bulk kernel (:meth:`repro.arch.hierarchy.CacheHierarchy.
-access_many`) already batches whole address chunks through inlined
-flat-array LRU walks, but still pays interpreted Python per address —
-and, because it mutates as it walks, the core must size its batches so
-even all-worst-case costs cannot cross the cycle budget, which caps
-them at a few hundred addresses and leaves little to amortise.
+The production path's scalar batched walk
+(:meth:`repro.arch.hierarchy.CacheHierarchy.access_many`) batches whole
+address chunks through inlined flat-array LRU walks, but still pays
+interpreted Python per address — and, because it mutates as it walks,
+the core must size its batches so even all-worst-case costs cannot
+cross the cycle budget, which caps them at a few hundred addresses and
+leaves little to amortise.
 
 This module removes both costs by splitting the walk in two:
 
@@ -23,8 +24,7 @@ This module removes both costs by splitting the walk in two:
     anything is updated, which lets the core take large batches, find
     the exact cycle-budget cutoff, and push the unexecuted suffix back
     untouched.  Returns ``None`` (revisits, private-resident lines);
-    the caller falls back to the scalar kernel, the same ladder
-    ``bulk_kernel_ok`` uses one tier down.
+    the caller then runs the batch through ``access_many``.
 
 :func:`commit`
     applies the updates for the executed prefix.  The private L1/L2
@@ -49,19 +49,15 @@ This module removes both costs by splitting the walk in two:
     line) and yields the exact final window.  Nothing is mutated
     until every stratum validates, no L3 set receives more lines than
     it has ways (so every L3 victim is a pre-batch line with an exact
-    owner record), and — on an inclusive L3 — no victim lives in this
-    core's own L1/L2.  On any failure ``commit`` returns ``False``
+    owner record), and no victim lives in this core's own L1/L2 (the
+    L3 is inclusive).  On any failure ``commit`` returns ``False``
     with no state mutated and the caller re-routes the untouched
-    batch through the scalar kernel.  Owner records and counter/stat
-    deltas are flushed once per batch: when every evicted line was
-    solely ours, the popped ``{core}`` singletons are recycled as the
-    owner records of the newly inserted lines — the same object reuse
-    the scalar walk performs one line at a time.
+    batch through ``access_many``.  The L3 owner-bitmask column is
+    gathered and scattered alongside the tag updates; occupancy,
+    stolen-line and counter/stat deltas are flushed once per batch.
 """
 
 from __future__ import annotations
-
-from itertools import repeat as _it_repeat
 
 import numpy as np
 
@@ -199,7 +195,7 @@ def _plan_fill_g(cache, c: np.ndarray, views):
     insertion's physical slot, ``surv_mask`` the insertions still
     resident at batch end (``None`` means all survive), ``victims``
     the pre-batch lines evicted, and ``vslots`` the slots those
-    victims occupied (where the owner-bitmask tier finds their masks).
+    victims occupied (where the owner-bitmask column holds their masks).
     """
     tags_np, fill_np, heads_np = views
     a = cache._assoc
@@ -315,7 +311,7 @@ def _fill_scalar(cache, miss_list: list) -> int:
     """Fill a private level with a distinct all-miss stream, scalar.
 
     The general private-level fill verb: classify proved every element
-    absent, so this is the bulk kernel's inlined fill loop without the
+    absent, so this is access_many's inlined fill loop without the
     probes.  Bounded by the batch length, which for the non-consecutive
     cases that reach it is at most one budget's worth of accesses —
     small enough that a Python loop over list storage beats the numpy
@@ -591,16 +587,16 @@ class _MixedL3Plan:
 
 
 def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
-                   own_col=None, own_bit: int = 0):
+                   own_col: np.ndarray, own_bit: int):
     """Plan and validate an L3 update mixing hits and misses.
 
     No mutation.  Returns ``None`` when an L3 set receives more lines
     than it has ways, or when a predicted hit fails validation (the
     sequential walk would have evicted the line first) — the caller
-    must fall back to the scalar kernel.  With ``own_col`` (the L3
-    owner-bitmask view) the stratum-(c) replays also evolve each set's
-    owner row in lockstep on extracted copies, recording the victims'
-    masks and how many hit lines gained this core's bit.
+    must fall back to the scalar kernel.  The stratum-(c) replays also
+    evolve each set's row of ``own_col`` (the L3 owner-bitmask view)
+    in lockstep on extracted copies, recording the victims' masks and
+    how many hit lines gained this core's bit.
     """
     tags_np, fill_np, heads_np = views
     a = cache._assoc
@@ -650,8 +646,7 @@ def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
         head = int(heads_np[s])
         mru = cache._mru[s]
         tags = tags_np[base:base + a].tolist()
-        own_row = (own_col[base:base + a].tolist()
-                   if own_col is not None else None)
+        own_row = own_col[base:base + a].tolist()
         vict: list[int] = []
         vict_masks: list[int] = []
         ev = nh = nm = gained = 0
@@ -660,13 +655,11 @@ def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
                 if not pred:
                     return None
                 nh += 1
-                if own_row is not None:
-                    # The MRU line sits at the logical tail.
-                    t = (fill - 1 if fill < a
-                         else (head - 1 if head else a - 1))
-                    if not own_row[t] & own_bit:
-                        own_row[t] |= own_bit
-                        gained += 1
+                # The MRU line sits at the logical tail.
+                t = fill - 1 if fill < a else (head - 1 if head else a - 1)
+                if not own_row[t] & own_bit:
+                    own_row[t] |= own_bit
+                    gained += 1
                 continue
             try:
                 w = tags.index(addr, 0, fill if fill < a else a)
@@ -678,37 +671,34 @@ def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
                 # Move-to-tail, wrap-aware when the window is rotated.
                 if fill < a:
                     t = fill - 1
-                    if own_row is not None:
-                        ob = own_row[w]
-                        own_row[w:t] = own_row[w + 1:fill]
-                        own_row[t] = ob
+                    ob = own_row[w]
+                    own_row[w:t] = own_row[w + 1:fill]
+                    own_row[t] = ob
                     tags[w:t] = tags[w + 1:fill]
                     tags[t] = addr
                 else:
                     tail = head - 1 if head else a - 1
                     t = tail
                     if w <= tail:
-                        if own_row is not None:
-                            ob = own_row[w]
-                            own_row[w:tail] = own_row[w + 1:tail + 1]
-                            own_row[tail] = ob
+                        ob = own_row[w]
+                        own_row[w:tail] = own_row[w + 1:tail + 1]
+                        own_row[tail] = ob
                         tags[w:tail] = tags[w + 1:tail + 1]
                         tags[tail] = addr
                     else:
                         end = a - 1
-                        if own_row is not None:
-                            ob = own_row[w]
-                            own_row[w:end] = own_row[w + 1:end + 1]
-                            own_row[end] = own_row[0]
-                            own_row[0:tail] = own_row[1:tail + 1]
-                            own_row[tail] = ob
+                        ob = own_row[w]
+                        own_row[w:end] = own_row[w + 1:end + 1]
+                        own_row[end] = own_row[0]
+                        own_row[0:tail] = own_row[1:tail + 1]
+                        own_row[tail] = ob
                         tags[w:end] = tags[w + 1:end + 1]
                         tags[end] = tags[0]
                         tags[0:tail] = tags[1:tail + 1]
                         tags[tail] = addr
                 mru = addr
                 nh += 1
-                if own_row is not None and not own_row[t] & own_bit:
+                if not own_row[t] & own_bit:
                     own_row[t] |= own_bit
                     gained += 1
             else:
@@ -720,15 +710,13 @@ def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
                 if fill >= a:
                     vict.append(tags[head])
                     tags[head] = addr
-                    if own_row is not None:
-                        vict_masks.append(own_row[head])
-                        own_row[head] = own_bit
+                    vict_masks.append(own_row[head])
+                    own_row[head] = own_bit
                     head = head + 1 if head + 1 < a else 0
                     ev += 1
                 else:
                     tags[fill] = addr
-                    if own_row is not None:
-                        own_row[fill] = own_bit
+                    own_row[fill] = own_bit
                     fill += 1
                 mru = addr
         replays.append((s, tags, fill, head, mru, vict, ev, nm,
@@ -740,11 +728,11 @@ def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
 
 
 def _apply_mixed_l3(cache, mixed: _MixedL3Plan, views,
-                    own_col=None, own_bit: int = 0):
+                    own_col: np.ndarray, own_bit: int):
     """Commit a validated :class:`_MixedL3Plan`.
 
-    With ``own_col`` the owner-bitmask column is updated in lockstep
-    — stratum (a) scatters this core's bit over the inserted slots
+    The owner-bitmask column ``own_col`` is updated in lockstep —
+    stratum (a) scatters this core's bit over the inserted slots
     (gathering the victims' masks first), stratum (b) mirrors the
     move-to-tail roll and ORs the bit into each hit line, stratum (c)
     writes back the replayed owner rows.  Returns ``(gained,
@@ -758,15 +746,13 @@ def _apply_mixed_l3(cache, mixed: _MixedL3Plan, views,
     gained = 0
     vict_masks: list[int] = []
     if mixed.plan_a is not None:
-        if own_col is not None:
-            # Victim masks live in the slots the inserts overwrite:
-            # gather before the scatter claims them.  Every insertion
-            # survives (set counts are capped at the ways), so the
-            # scatter covers all planned slots.
-            vict_masks.extend(own_col[mixed.plan_a[11]].tolist())
+        # Victim masks live in the slots the inserts overwrite: gather
+        # before the scatter claims them.  Every insertion survives
+        # (set counts are capped at the ways), so the scatter covers
+        # all planned slots.
+        vict_masks.extend(own_col[mixed.plan_a[11]].tolist())
         _apply_fill_g(cache, mixed.plan_a, views)
-        if own_col is not None:
-            own_col[mixed.plan_a[6]] = own_bit
+        own_col[mixed.plan_a[6]] = own_bit
     sets_b = mixed.sets_b
     if sets_b.size:
         # Bulk move-to-tail: gather each set's window in LRU order,
@@ -790,26 +776,24 @@ def _apply_mixed_l3(cache, mixed: _MixedL3Plan, views,
         rows = _ar(k)
         out[rows, length - 1] = addr_b
         tags_np[phys.ravel()] = out.ravel()
-        if own_col is not None:
-            ologic = own_col[phys]
-            ohit = ologic[rows, p]
-            orolled = np.empty_like(ologic)
-            orolled[:, :-1] = ologic[:, 1:]
-            orolled[:, -1] = ologic[:, -1]
-            oout = np.where(roll_mask, orolled, ologic)
-            oout[rows, length - 1] = ohit | own_bit
-            own_col[phys.ravel()] = oout.ravel()
-            gained += int(np.count_nonzero((ohit & own_bit) == 0))
+        ologic = own_col[phys]
+        ohit = ologic[rows, p]
+        orolled = np.empty_like(ologic)
+        orolled[:, :-1] = ologic[:, 1:]
+        orolled[:, -1] = ologic[:, -1]
+        oout = np.where(roll_mask, orolled, ologic)
+        oout[rows, length - 1] = ohit | own_bit
+        own_col[phys.ravel()] = oout.ravel()
+        gained += int(np.count_nonzero((ohit & own_bit) == 0))
         for s, addr in zip(sets_b.tolist(), addr_b.tolist()):
             mru_list[s] = addr
     for s, tags, fill, head, mru, vict, _ev, _nm, own_row, vmasks, \
             g in mixed.replays:
         base = s * a
         tags_np[base:base + a] = tags
-        if own_col is not None:
-            own_col[base:base + a] = own_row
-            vict_masks.extend(vmasks)
-            gained += g
+        own_col[base:base + a] = own_row
+        vict_masks.extend(vmasks)
+        gained += g
         fill_np[s] = fill
         heads_np[s] = head
         mru_list[s] = mru
@@ -823,9 +807,9 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
 
     Returns ``False`` — with **no state mutated** — when the bulk
     update cannot replay the sequential walk (an overloaded L3 set, an
-    invalidated hit prediction, or an inclusive back-invalidation into
+    invalidated hit prediction, or a back-invalidation into
     this core's own L1/L2); the caller must then re-route the whole
-    untouched batch through the scalar ladder.  On ``True``, every
+    untouched batch through ``access_many``.  On ``True``, every
     counter, stat, tag array, owner record, and occupancy figure is
     bit-identical to the scalar walk over that same prefix.
     """
@@ -854,10 +838,8 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
     # would keep the array('q') buffers exported and break the scalar
     # verbs' slice assignments (see SetAssociativeCache._vector_views).
     views3 = l3._vector_views()
-    owner_arrays = hierarchy._owner_arrays
     own_bit = 1 << core
-    own_col = (np.frombuffer(l3._owner_tags, dtype=np.int64)
-               if owner_arrays else None)
+    own_col = l3._owner_view()
     mixed = plan3 = None
     consec3 = False
     miss_list = None
@@ -882,12 +864,13 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
         if mixed is None:
             return False
         victims_list = mixed.victims
-    inclusive = hierarchy._inclusive
-    if inclusive and victims_list:
-        # The L3 evicts its stalest lines while the private caches hold
-        # the most recent ones, so in the streaming steady state every
-        # victim precedes every private-resident line: two min/max
-        # comparisons replace the hash scans.
+    if victims_list:
+        # The L3 is inclusive (the owner column implies it), so every
+        # victim is back-invalidated.  The L3 evicts its stalest lines
+        # while the private caches hold the most recent ones, so in the
+        # streaming steady state every victim precedes every
+        # private-resident line: two min/max comparisons replace the
+        # hash scans.
         res1 = l1._resident
         res2 = l2._resident
         vmax = (int(victims3.max()) if mixed is None
@@ -914,13 +897,12 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
     # executed collapsed access misses them (classify proved the batch
     # disjoint from both resident sets), and their capacities are small
     # enough that scalar fills beat the numpy dispatch overhead.
-    vector_fills = hierarchy._vector_fills
     cap1 = l1._num_sets * l1._assoc
     if consec12 and m >= cap1:
         ev1 = _fill_replace_py(l1, exec_list, m)
     elif m >= 2 * cap1:
         ev1 = _fill_dense(l1, c, exec_list, m)
-    elif vector_fills and m >= _FILL_BATCH_MIN:
+    elif m >= _FILL_BATCH_MIN:
         ev1 = _fill_batch(l1, c, exec_list, m)
     else:
         ev1 = _fill_scalar(l1, exec_list)
@@ -929,7 +911,7 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
         ev2 = _fill_replace_py(l2, exec_list, m)
     elif m >= 2 * cap2:
         ev2 = _fill_dense(l2, c, exec_list, m)
-    elif vector_fills and m >= _FILL_BATCH_MIN:
+    elif m >= _FILL_BATCH_MIN:
         ev2 = _fill_batch(l2, c, exec_list, m)
     else:
         ev2 = _fill_scalar(l2, exec_list)
@@ -938,138 +920,78 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
     vmasks3 = None
     vict_masks: list[int] = []
     if mixed is None:
-        if own_col is not None:
-            # The victims' owner masks sit in the slots the inserts
-            # overwrite; gather before the scatter claims them.
-            vmasks3 = own_col[plan3[5 if consec3 else 11]]
+        # The victims' owner masks sit in the slots the inserts
+        # overwrite; gather before the scatter claims them.
+        vmasks3 = own_col[plan3[5 if consec3 else 11]]
         if consec3:
             ev3 = _apply_l3_consec(l3, c, plan3, views3, miss_list)
             l3_resident.difference_update(victims_list)
             l3_resident.update(miss_list)
-            if own_col is not None:
-                own_col[plan3[0]] = own_bit
+            own_col[plan3[0]] = own_bit
         else:
             ev3 = _apply_fill_g(l3, plan3, views3)
-            if own_col is not None:
-                # Every insertion survives (set counts capped at the
-                # ways, checked above), so the scatter covers all slots.
-                own_col[plan3[6]] = own_bit
+            # Every insertion survives (set counts capped at the ways,
+            # checked above), so the scatter covers all slots.
+            own_col[plan3[6]] = own_bit
     else:
         applied = _apply_mixed_l3(l3, mixed, views3, own_col, own_bit)
         gained3, vict_masks = applied
         ev3 = mixed.evictions
         miss_list = c[~hit].tolist()
         l3_resident.update(miss_list)
-    del views3
+    del views3, own_col
     occupancy = hierarchy._occupancy
     nm3 = m - nh3
-    if owner_arrays:
-        # Same linearization as the dict walk below: hit sharers
-        # first, victim pops second, miss inserts last (every
-        # validated hit precedes any eviction of its line).  The bit
-        # scatters already happened alongside the tag applies; what is
-        # left is the occupancy/steal/back-invalidation fan-out.
-        occupancy[core] += gained3
-        if victims_list:
-            if vmasks3 is not None:
-                foreign = bool((vmasks3 & ~own_bit).any())
-                vm_list = vmasks3.tolist() if foreign else None
-                own_count = int(np.count_nonzero(vmasks3))
-            else:
-                merged = 0
-                for mask in vict_masks:
-                    merged |= mask
-                foreign = bool(merged & ~own_bit)
-                vm_list = vict_masks
-                own_count = sum(1 for mask in vict_masks if mask)
-            if not foreign:
-                # Every victim was solely ours (or untracked): one
-                # aggregate occupancy decrement, no steals, and — the
-                # inclusive check above proved our own L1/L2 clean —
-                # no back-invalidations.
-                occupancy[core] -= own_count
-            else:
-                l1_caches = hierarchy.l1
-                l2_caches = hierarchy.l2
-                for victim, mask in zip(victims_list, vm_list):
-                    owner = 0
-                    while mask:
-                        if mask & 1:
-                            occupancy[owner] -= 1
-                            if owner != core:
-                                counters_all[owner].lines_stolen += 1
-                                if inclusive:
-                                    invalidated = (l2_caches[owner]
-                                                   .invalidate(victim))
-                                    invalidated |= (l1_caches[owner]
-                                                    .invalidate(victim))
-                                    if invalidated:
-                                        counters_all[owner] \
-                                            .back_invalidations += 1
-                            # owner == core: only the decrement (the
-                            # victim is absent from our own L1/L2).
-                        mask >>= 1
-                        owner += 1
-        if miss_list:
-            occupancy[core] += nm3
-    else:
-        owners_map = hierarchy._l3_owners
-        if nh3:
-            # Hit lines gain this core as a sharer.  Every validated
-            # hit precedes any eviction of its line, so sharer updates
-            # land before the victim pops below — the scalar
-            # chronology.
-            owners_get = owners_map.get
-            for addr in c[hit].tolist():
-                owners = owners_get(addr)
-                if owners is not None and core not in owners:
-                    owners.add(core)
-                    occupancy[core] += 1
-        pool: list = []
-        if victims_list:
-            popped = list(map(owners_map.pop, victims_list,
-                              _it_repeat(())))
-            merged = set().union(*popped)
-            if not merged or merged == {core}:
-                # Every victim was solely ours (or untracked): one
-                # aggregate occupancy decrement, no steals, and the
-                # popped {core} singletons are recycled for the new
-                # lines below — the scalar walk's object reuse,
-                # batched.  Each non-empty record is the {core}
-                # singleton, so the pool length is also the occupancy
-                # delta.
-                pool = list(filter(None, popped))
-                occupancy[core] -= len(pool)
-            else:
-                l1_caches = hierarchy.l1
-                l2_caches = hierarchy.l2
-                for victim, owners in zip(victims_list, popped):
-                    for owner in owners:
+    # The scalar walk's linearization: hit sharers first, victim pops
+    # second, miss inserts last (every validated hit precedes any
+    # eviction of its line).  The bit scatters already happened
+    # alongside the tag applies; what is left is the occupancy/steal/
+    # back-invalidation fan-out.
+    occupancy[core] += gained3
+    if victims_list:
+        if vmasks3 is not None:
+            foreign = bool((vmasks3 & ~own_bit).any())
+            vm_list = vmasks3.tolist() if foreign else None
+            own_count = int(np.count_nonzero(vmasks3))
+        else:
+            merged = 0
+            for mask in vict_masks:
+                merged |= mask
+            foreign = bool(merged & ~own_bit)
+            vm_list = vict_masks
+            own_count = sum(1 for mask in vict_masks if mask)
+        if not foreign:
+            # Every victim was solely ours (or untracked): one aggregate
+            # occupancy decrement, no steals, and — the check above
+            # proved our own L1/L2 clean — no back-invalidations.
+            occupancy[core] -= own_count
+        else:
+            l1_caches = hierarchy.l1
+            l2_caches = hierarchy.l2
+            for victim, mask in zip(victims_list, vm_list):
+                owner = 0
+                while mask:
+                    if mask & 1:
                         occupancy[owner] -= 1
                         if owner != core:
                             counters_all[owner].lines_stolen += 1
-                            if inclusive:
-                                # The owner's caches are untouched by
-                                # this batch, so the scalar
-                                # invalidations land on exactly the
-                                # state the sequential walk would have
-                                # seen.
-                                invalidated = (
-                                    l2_caches[owner].invalidate(victim))
-                                invalidated |= (
-                                    l1_caches[owner].invalidate(victim))
-                                if invalidated:
-                                    counters_all[owner] \
-                                        .back_invalidations += 1
-                        # owner == core: the inclusive check above
-                        # proved the victim is absent from our own
-                        # L1/L2, so only the occupancy decrement
-                        # applies.
-        if miss_list:
-            if len(pool) < nm3:
-                pool.extend([{core} for _ in range(nm3 - len(pool))])
-            owners_map.update(zip(miss_list, pool))
-            occupancy[core] += nm3
+                            # The owner's caches are untouched by this
+                            # batch, so the scalar invalidations land
+                            # on exactly the state the sequential walk
+                            # would have seen.
+                            invalidated = (l2_caches[owner]
+                                           .invalidate(victim))
+                            invalidated |= (l1_caches[owner]
+                                            .invalidate(victim))
+                            if invalidated:
+                                counters_all[owner] \
+                                    .back_invalidations += 1
+                        # owner == core: only the decrement (the
+                        # victim is absent from our own L1/L2).
+                    mask >>= 1
+                    owner += 1
+    if miss_list:
+        occupancy[core] += nm3
     # -- flush batch-local deltas --------------------------------------
     nh1 = n_exec - m
     counters_core = counters_all[core]

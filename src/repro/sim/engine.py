@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Protocol
 
-from ..arch.cache import (
-    bulk_kernel_enabled,
-    fast_lane_enabled,
-    vector_kernel_enabled,
-)
+from ..arch.cache import fast_lane_enabled, vector_kernel_enabled
 from ..arch.chip import MulticoreChip
 from ..arch.pmu import PMUSample
 from ..errors import SchedulingError, SimulationError
@@ -78,16 +74,17 @@ class SimulationEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         if self.metrics is not None:
-            # Record which execution tier served this run (generic /
-            # fast lane / bulk kernel / vector) so perf profiles are
-            # attributable.  Telemetry only — never part of RunResult,
-            # which must hash identically across all four tiers.
+            # Record which execution path served this run (reference
+            # walk / production path, with or without the vector
+            # kernel) so perf profiles are attributable.  The batched
+            # walk is part of the fast lane, so ``sim.bulk_kernel``
+            # follows it.  Telemetry only — never part of RunResult,
+            # which must hash identically on every path.
             fast = fast_lane_enabled()
-            bulk = fast and bulk_kernel_enabled()
             self.metrics.gauge("sim.fast_lane").set(1.0 if fast else 0.0)
-            self.metrics.gauge("sim.bulk_kernel").set(1.0 if bulk else 0.0)
+            self.metrics.gauge("sim.bulk_kernel").set(1.0 if fast else 0.0)
             self.metrics.gauge("sim.vector_kernel").set(
-                1.0 if (bulk and vector_kernel_enabled()) else 0.0
+                1.0 if (fast and vector_kernel_enabled()) else 0.0
             )
         self.chip = chip
         self.processes: dict[str, SimProcess] = {}

@@ -68,21 +68,6 @@ class TestSpecializedLru:
         )
         assert cache.probe.__func__ is SetAssociativeCache.probe
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_mru_noop_flag_for_tail_stable_policies(self, policy):
-        cache = SetAssociativeCache(
-            "c", GEOMETRY, make_policy(policy, 4), specialize=True
-        )
-        assert cache.hit_is_mru_noop
-
-    def test_mru_noop_flag_denied_for_plru(self):
-        # PLRU flips tree bits even when the tail line re-hits, so the
-        # inlined MRU shortcut would diverge from the reference.
-        cache = SetAssociativeCache(
-            "c", GEOMETRY, make_policy("plru", 4), specialize=True
-        )
-        assert not cache.hit_is_mru_noop
-
     @given(ops=OP_STREAM)
     @settings(max_examples=200, deadline=None)
     def test_equivalent_to_generic_path(self, ops):

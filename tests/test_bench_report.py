@@ -4,8 +4,8 @@
 appends one comparable point (schema 2), and pre-trajectory schema-1
 snapshots are migrated as point zero.  These tests pin the point
 schema, the v1 -> v2 migration, the append semantics, and the gate
-logic — including the per-workload vector gates — without running
-full-length measurements.
+logic — including the per-workload vector and generic gates —
+without running full-length measurements.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ _spec = importlib.util.spec_from_file_location("bench_simspeed", BENCH_PATH)
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
-TIER_NAMES = {"generic", "fastlane", "kernel", "vector"}
+TIER_NAMES = {"generic", "kernel", "vector"}
 RATIO_NAMES = {
-    "fastlane_over_generic",
-    "kernel_over_fastlane",
     "kernel_over_generic",
     "vector_over_kernel",
     "vector_over_generic",
@@ -33,43 +31,36 @@ RATIO_NAMES = {
 
 
 def fake_rows(
-    kf: float = 2.0,
     kg: float = 4.0,
-    fg: float = 2.2,
-    vk: float = 3.5,
+    vk: float = 6.0,
     gate_vk: float | None = None,
-    gate_ol: float | None = None,
+    gate_vg: float | None = None,
 ):
     """Synthetic suite rows with the given ratios on every workload.
 
     ``vk`` is the default-budget vector/kernel ratio; ``gate_vk``
-    overrides the ratio measured at each workload's own gate budget
-    (defaults to comfortably above every target); ``gate_ol``
-    overrides the ownership gates' vector-over-legacy ratio likewise.
+    overrides the ratio measured at each workload's own vector-gate
+    budget (defaults to comfortably above every target); ``gate_vg``
+    overrides the generic gates' vector-over-generic ratio likewise.
     """
     rows = []
-    for name, (_f, streaming, gated, vgate,
-               ogate) in bench.WORKLOADS.items():
+    for name, (_f, gated, vgate, ggate) in bench.WORKLOADS.items():
         generic = 100_000.0
         row = {
             "workload": name,
-            "streaming": streaming,
             "kernel_gated": gated,
             "tiers": {
                 "generic": generic,
-                "fastlane": generic * fg,
                 "kernel": generic * kg,
                 "vector": generic * kg * vk,
             },
             "ratios": {
-                "fastlane_over_generic": fg,
-                "kernel_over_fastlane": kf,
                 "kernel_over_generic": kg,
                 "vector_over_kernel": vk,
                 "vector_over_generic": kg * vk,
             },
             "vector_gate": None,
-            "ownership_gate": None,
+            "generic_gate": None,
         }
         if vgate is not None:
             ratio = gate_vk if gate_vk is not None else \
@@ -81,16 +72,15 @@ def fake_rows(
                 "vector": generic * kg * ratio,
                 "vector_over_kernel": ratio,
             }
-        if ogate is not None:
-            ratio = gate_ol if gate_ol is not None else \
-                ogate["target"] + 0.5
-            vector = row["tiers"]["vector"]
-            row["ownership_gate"] = {
-                "budget": ogate["budget"],
-                "target": ogate["target"],
-                "legacy_vector": vector / ratio,
-                "vector": vector,
-                "vector_over_legacy": ratio,
+        if ggate is not None:
+            ratio = gate_vg if gate_vg is not None else \
+                ggate["target"] + 0.5
+            row["generic_gate"] = {
+                "budget": ggate["budget"],
+                "target": ggate["target"],
+                "generic": generic,
+                "vector": generic * ratio,
+                "vector_over_generic": ratio,
             }
         rows.append(row)
     return rows
@@ -110,39 +100,34 @@ class TestPointSchema:
             wl = point["workloads"][name]
             assert set(wl["tiers"]) == TIER_NAMES
             assert set(wl["ratios"]) == RATIO_NAMES
-        assert point["targets"]["kernel_over_fastlane"] == \
-            bench.KERNEL_OVER_FASTLANE_TARGET
+        assert point["targets"]["kernel_over_generic"] == \
+            bench.KERNEL_OVER_GENERIC_TARGET
         assert point["targets"]["vector_over_kernel_stream"] == \
             bench.VECTOR_OVER_KERNEL_STREAM_TARGET
         assert point["targets"]["vector_over_kernel_chase"] == \
             bench.VECTOR_OVER_KERNEL_CHASE_TARGET
-        assert point["targets"]["owner_over_legacy_stream"] == \
-            bench.OWNER_OVER_LEGACY_STREAM_TARGET
-        assert point["targets"]["owner_over_legacy_chase"] == \
-            bench.OWNER_OVER_LEGACY_CHASE_TARGET
+        assert point["targets"]["vector_over_generic_stream"] == \
+            bench.VECTOR_OVER_GENERIC_STREAM_TARGET
+        assert point["targets"]["vector_over_generic_chase"] == \
+            bench.VECTOR_OVER_GENERIC_CHASE_TARGET
 
     def test_point_records_kernel_gates_per_tier(self):
-        # Satellite of the tier-5 PR: a trajectory point must say
-        # which REPRO_* kernel gates each measured column ran under.
+        # A trajectory point must say which REPRO_* execution gates
+        # each measured column ran under.
         gates = fake_point()["kernel_gates"]
-        assert set(gates) == set(bench.TIERS) | {"legacy_vector"}
-        flags = {"fast_lane", "bulk_kernel", "vector_kernel",
-                 "owner_arrays", "vector_fills"}
+        assert set(gates) == set(bench.TIERS)
         for column in gates.values():
-            assert set(column) == flags
+            assert set(column) == {"fast_lane", "vector_kernel"}
             assert all(isinstance(v, bool) for v in column.values())
-        assert gates["vector"]["owner_arrays"]
-        assert gates["vector"]["vector_fills"]
-        assert not gates["legacy_vector"]["owner_arrays"]
-        assert not gates["legacy_vector"]["vector_fills"]
-        assert gates["legacy_vector"]["vector_kernel"]
+        assert gates["vector"] == {"fast_lane": True, "vector_kernel": True}
+        assert gates["kernel"] == {"fast_lane": True, "vector_kernel": False}
         assert not gates["generic"]["fast_lane"]
 
     def test_gated_workloads_record_their_gate_measurement(self):
         point = fake_point()
         gated = {
             name: vgate
-            for name, (_f, _s, _g, vgate, _o) in bench.WORKLOADS.items()
+            for name, (_f, _g, vgate, _gg) in bench.WORKLOADS.items()
             if vgate is not None
         }
         assert gated  # the suite must carry at least one vector gate
@@ -155,22 +140,22 @@ class TestPointSchema:
         for name in ungated:
             assert point["workloads"][name]["vector_gate"] is None
 
-    def test_ownership_gated_workloads_record_their_measurement(self):
+    def test_generic_gated_workloads_record_their_measurement(self):
         point = fake_point()
         gated = {
-            name: ogate
-            for name, (_f, _s, _g, _v, ogate) in bench.WORKLOADS.items()
-            if ogate is not None
+            name: ggate
+            for name, (_f, _g, _v, ggate) in bench.WORKLOADS.items()
+            if ggate is not None
         }
-        # Both acceptance workloads carry an ownership gate.
+        # Both acceptance workloads carry a generic gate.
         assert set(gated) == {"stream-llc", "pointer-chase"}
-        for name, ogate in gated.items():
-            gate = point["workloads"][name]["ownership_gate"]
-            assert gate["budget"] == ogate["budget"]
-            assert gate["target"] == ogate["target"]
-            assert gate["vector_over_legacy"] > gate["target"]
+        for name, ggate in gated.items():
+            gate = point["workloads"][name]["generic_gate"]
+            assert gate["budget"] == ggate["budget"] == bench.DEFAULT_BUDGET
+            assert gate["target"] == ggate["target"]
+            assert gate["vector_over_generic"] > gate["target"]
         for name in set(bench.WORKLOADS) - set(gated):
-            assert point["workloads"][name]["ownership_gate"] is None
+            assert point["workloads"][name]["generic_gate"] is None
 
     def test_report_wraps_points(self):
         report = bench.build_report([fake_point()])
@@ -267,36 +252,27 @@ class TestGateLogic:
         assert bench.check_gates(fake_rows(), smoke=False) == []
         assert bench.check_gates(fake_rows(), smoke=True) == []
 
-    def test_kernel_below_fastlane_target_fails_gated_workload(self):
-        failures = bench.check_gates(fake_rows(kf=1.2), smoke=False)
-        assert any("over-fastlane" in f for f in failures)
-        # Only the gated streaming benchmark enforces the kernel gate.
-        gated = [
-            name for name, (_f, _s, g, _v, _o) in bench.WORKLOADS.items()
-            if g
-        ]
-        assert all(f.split(":")[0] in gated for f in failures)
-
     def test_kernel_below_generic_target_fails(self):
         failures = bench.check_gates(fake_rows(kg=2.0), smoke=False)
-        assert any("over-generic" in f for f in failures)
-
-    def test_fastlane_below_streaming_target_fails(self):
-        failures = bench.check_gates(fake_rows(fg=1.5), smoke=False)
-        assert any("streaming target" in f for f in failures)
+        assert any(f.startswith("stream-llc: kernel") and
+                   "over-generic" in f for f in failures)
+        # Only the gated streaming benchmark enforces the kernel gate.
+        gated = [
+            name for name, (_f, g, _v, _gg) in bench.WORKLOADS.items()
+            if g
+        ]
+        kernel_failures = [f for f in failures if ": kernel" in f]
+        assert all(f.split(":")[0] in gated for f in kernel_failures)
 
     def test_vector_below_gate_target_fails_each_gated_workload(self):
         failures = bench.check_gates(
             fake_rows(gate_vk=1.01), smoke=False
         )
         gated = [
-            name for name, (_f, _s, _g, v, _o) in bench.WORKLOADS.items()
+            name for name, (_f, _g, v, _gg) in bench.WORKLOADS.items()
             if v is not None
         ]
-        vector_failures = [
-            f for f in failures
-            if "over-kernel" in f and "legacy" not in f
-        ]
+        vector_failures = [f for f in failures if "over-kernel" in f]
         assert len(vector_failures) == len(gated)
         for f in vector_failures:
             assert "cycle budget" in f
@@ -309,45 +285,34 @@ class TestGateLogic:
                     row["vector_gate"]["target"]
         assert bench.check_gates(rows, smoke=False) == []
 
-    def test_ownership_below_target_fails_each_gated_workload(self):
-        failures = bench.check_gates(fake_rows(gate_ol=1.05),
+    def test_generic_gate_below_target_fails_each_gated_workload(self):
+        failures = bench.check_gates(fake_rows(gate_vg=4.0),
                                      smoke=False)
-        ownership_failures = [
-            f for f in failures if "over-legacy-vector" in f
+        generic_failures = [
+            f for f in failures if ": vector" in f and "over-generic" in f
         ]
         gated = [
-            name for name, (_f, _s, _g, _v, o) in bench.WORKLOADS.items()
-            if o is not None
+            name for name, (_f, _g, _v, gg) in bench.WORKLOADS.items()
+            if gg is not None
         ]
-        assert len(ownership_failures) == len(gated)
-        assert all(
-            f.split(":")[0] in gated for f in ownership_failures
-        )
+        assert len(generic_failures) == len(gated)
+        assert all(f.split(":")[0] in gated for f in generic_failures)
 
-    def test_ownership_gate_passes_exactly_at_target(self):
+    def test_generic_gate_passes_exactly_at_target(self):
         rows = fake_rows()
         for row in rows:
-            if row["ownership_gate"] is not None:
-                row["ownership_gate"]["vector_over_legacy"] = \
-                    row["ownership_gate"]["target"]
+            if row["generic_gate"] is not None:
+                row["generic_gate"]["vector_over_generic"] = \
+                    row["generic_gate"]["target"]
         assert bench.check_gates(rows, smoke=False) == []
-
-    def test_smoke_checks_ownership_ordering(self):
-        # Below the absolute target but still faster than legacy:
-        # smoke passes.  An inversion fails even the smoke run.
-        assert bench.check_gates(fake_rows(gate_ol=1.05),
-                                 smoke=True) == []
-        failures = bench.check_gates(fake_rows(gate_ol=0.95),
-                                     smoke=True)
-        assert any("legacy vector" in f for f in failures)
 
     def test_smoke_checks_ordering_only(self):
         # Below absolute targets but correctly ordered: smoke passes.
-        rows = fake_rows(kf=1.05, kg=1.3, fg=1.2, vk=1.1)
+        rows = fake_rows(kg=1.3, vk=1.1, gate_vk=1.1, gate_vg=1.2)
         assert bench.check_gates(rows, smoke=True) == []
         assert bench.check_gates(rows, smoke=False) != []
         # An inversion fails even the smoke run.
-        inverted = fake_rows(kf=0.9, kg=0.8, fg=0.9, vk=0.9)
+        inverted = fake_rows(kg=0.8, vk=0.9)
         assert bench.check_gates(inverted, smoke=True) != []
 
     def test_smoke_vector_ordering_applies_to_gated_rows_only(self):
@@ -358,7 +323,7 @@ class TestGateLogic:
         failures = bench.check_gates(rows, smoke=True)
         slower = [f for f in failures if "vector slower than kernel" in f]
         gated = [
-            name for name, (_f, _s, g, _v, _o) in bench.WORKLOADS.items()
+            name for name, (_f, g, _v, _gg) in bench.WORKLOADS.items()
             if g
         ]
         assert len(slower) == len(gated)
@@ -370,4 +335,5 @@ class TestGateLogic:
         rows = fake_rows()
         for row in rows:
             row["vector_gate"] = None
+            row["generic_gate"] = None
         assert bench.check_gates(rows, smoke=True) == []
