@@ -205,8 +205,8 @@ class Core:
                             fold[:batch], cycle_budget, side="left"
                         ))
                         if not vec_commit(cid, plan, n_exec):
-                            # Structural bail (overloaded L3 set, an
-                            # invalidated hit prediction, an own-core
+                            # Structural bail (overloaded L3 set, a
+                            # hit sharing its set, an own-core
                             # back-invalidation): nothing was mutated
                             # and the pricing may be wrong, so hand
                             # the whole batch to access_many.

@@ -499,9 +499,6 @@ class CacheHierarchy:
                             inv = True
                         if inv:
                             counters_core.back_invalidations += 1
-                    elif vmask == 0:
-                        l3_owner[slot] = own_bit
-                        occupancy[core] += 1
                     else:
                         m = vmask
                         owner = 0
@@ -848,8 +845,10 @@ class CacheHierarchy:
         """Apply a classified batch's first ``n_exec`` accesses.
 
         ``False`` means the bulk update could not replay the sequential
-        walk and nothing was mutated; the caller must re-route the
-        untouched batch through :meth:`access_many`.
+        walk (an overloaded L3 set, a hit sharing its set with another
+        access, an own-core back-invalidation) and nothing was mutated;
+        the caller must re-route the untouched batch through
+        :meth:`access_many`.
 
         Profiled into ``profile.vector_commit_seconds`` when span
         profiling is armed (see :meth:`vector_classify`).

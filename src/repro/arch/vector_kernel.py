@@ -29,32 +29,30 @@ This module removes both costs by splitting the walk in two:
 :func:`commit`
     applies the updates for the executed prefix.  The private L1/L2
     fills are identical for level-3 and level-4 accesses (both missed
-    there), so each is one order-preserving bulk fill over the
-    ``array('q')``-backed tag arrays: per set, the first ``max(0,
-    fill + k - assoc)`` evictions pop pre-batch lines from the LRU
-    head of the circular window, and the last ``min(k, assoc)``
-    inserted lines survive in insertion order at the MRU end — which
-    the closed-form slot formula ``base + (head + fill + occurrence)
-    % assoc`` scatters in one fancy-indexing pass.  A *consecutive*
-    collapsed run (the streaming steady state) skips even the
-    argsort-based set grouping: element ``i`` of a consecutive run is
-    its set's ``i // num_sets``-th insertion, so every per-set
-    quantity reduces to positional arithmetic.  The shared L3
-    partitions by set into three strata: sets receiving only misses
-    use the bulk fill; sets receiving exactly one access, a hit, get
-    a vectorized move-to-tail rotation; the rare sets mixing hits and
-    misses (or taking several hits) are replayed sequentially on
-    extracted copies, which both *validates* the predicted hit levels
-    (an earlier in-batch fill could have evicted a predicted-hit
-    line) and yields the exact final window.  Nothing is mutated
-    until every stratum validates, no L3 set receives more lines than
-    it has ways (so every L3 victim is a pre-batch line with an exact
-    owner record), and no victim lives in this core's own L1/L2 (the
-    L3 is inclusive).  On any failure ``commit`` returns ``False``
-    with no state mutated and the caller re-routes the untouched
-    batch through ``access_many``.  The L3 owner-bitmask column is
-    gathered and scattered alongside the tag updates; occupancy,
-    stolen-line and counter/stat deltas are flushed once per batch.
+    there), so each level takes one list-backed fill verb:
+    :func:`_fill_replace_py` when a consecutive run replaces the whole
+    level, :func:`_fill_dense` when the stream dwarfs it, and
+    :func:`_fill_scalar` otherwise.  The shared L3 takes two bulk
+    verbs over its ``array('q')``-backed tag arrays.  The misses are
+    one order-preserving fill: per set, the first ``max(0, fill + k -
+    assoc)`` insertions evict pre-batch lines from the LRU head of the
+    circular window, which the closed-form slot formula ``base + (head
+    + fill + occurrence) % assoc`` scatters in one fancy-indexing pass
+    (:func:`_plan_fill_g`; a *consecutive* all-miss run, the streaming
+    steady state, skips even the argsort-based set grouping in
+    :func:`_plan_l3_consec`).  The hits move their lines to MRU in one
+    vectorized rotation (:func:`_rotate_hits`).  One decline rule keeps
+    the hit predictions exact: a resident line can only be evicted if
+    other lines enter its set, so a predicted hit whose set takes any
+    other access in the executed prefix declines the batch.  Commit
+    also declines when an L3 set receives more lines than it has ways
+    (every L3 victim must be a pre-batch line with an exact owner
+    record) and when a victim lives in this core's own L1/L2 (the L3
+    is inclusive).  On a decline ``commit`` returns ``False`` with no
+    state mutated and the caller re-routes the untouched batch through
+    ``access_many``.  The L3 owner-bitmask column is gathered and
+    scattered alongside the tag updates; occupancy, stolen-line and
+    counter/stat deltas are flushed once per batch.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ class BatchPlan:
         #: per-address serving level (1, 3 or 4).  Exact for any
         #: executed prefix :func:`commit` accepts: miss predictions
         #: are unconditional (distinct + absent lines stay absent),
-        #: and hit predictions are validated during commit.
+        #: and commit declines any hit whose set takes another access.
         self.levels = levels
         #: raw batch positions of the collapsed (walking) accesses
         self.keep_raw = keep_raw
@@ -186,16 +184,19 @@ def classify(hierarchy, core: int, addrs: np.ndarray):
 
 
 def _plan_fill_g(cache, c: np.ndarray, views):
-    """Plan one level's bulk fill of miss stream ``c`` (no mutation).
+    """Plan the L3's bulk fill of miss stream ``c`` (no mutation).
 
-    The general, argsort-grouped form.  Returns ``(cs, u, f, h,
-    counts, starts, slots, surv_mask, victims, total, evictions,
-    vslots)`` where ``cs`` are the accesses stably sorted by set (so
-    each set's insertions keep batch order), ``slots`` each
-    insertion's physical slot, ``surv_mask`` the insertions still
-    resident at batch end (``None`` means all survive), ``victims``
-    the pre-batch lines evicted, and ``vslots`` the slots those
-    victims occupied (where the owner-bitmask column holds their masks).
+    The general, argsort-grouped form.  Returns ``None`` when a set
+    receives more lines than it has ways: some victims would then be
+    batch lines, whose mid-batch eviction the bulk update cannot
+    replay.  Otherwise every insertion survives the batch, and the plan
+    is ``(slots, victims, vslots, evictions, cs, u, h, total, last)``:
+    each insertion's physical slot, the pre-batch lines evicted, the
+    slots those victims occupied (where the owner-bitmask column holds
+    their masks), the eviction count, the accesses stably sorted by set
+    (so each set's insertions keep batch order), and per touched set
+    ``u`` its pre-batch head, its fill plus insertions, and its last
+    (MRU) insertion.
     """
     tags_np, fill_np, heads_np = views
     a = cache._assoc
@@ -208,11 +209,13 @@ def _plan_fill_g(cache, c: np.ndarray, views):
     first[0] = True
     np.not_equal(ss[1:], ss[:-1], out=first[1:])
     starts = np.nonzero(first)[0]
-    u = ss[starts]
     g = starts.shape[0]
     counts = np.empty(g, dtype=np.int64)
     np.subtract(starts[1:], starts[:-1], out=counts[:g - 1])
     counts[g - 1] = nn - starts[g - 1]
+    if int(counts[counts.argmax()]) > a:
+        return None
+    u = ss[starts]
     # Occurrence rank of each insertion within its set's sub-stream.
     occ = _ar(nn) - np.repeat(starts, counts)
     f = fill_np[u]
@@ -222,47 +225,27 @@ def _plan_fill_g(cache, c: np.ndarray, views):
     # sequential evolution would use: the window advances one slot per
     # evict-and-insert, so slot = base + (head + fill + occ) % assoc.
     slots = ss * a + (np.repeat(h, counts) + occf) % a
-    # Pre-batch victims: insertions that overwrite an occupied slot
-    # (fill + occ >= assoc) before the window laps itself (occ <
-    # assoc).  Later overwrites (occ >= assoc) evict lines inserted by
-    # this very batch, which never reach the resident set.
-    victim_mask = (occf >= a) & (occ < a)
-    vslots = slots[victim_mask]
+    # With at most ``assoc`` insertions per set, every insertion past
+    # the ways overwrites a pre-batch line: evictions == victims.
+    vslots = slots[occf >= a]
     victims = tags_np[vslots]
-    total = f + counts
-    if int(counts[counts.argmax()]) <= a:
-        # Every insertion survives the batch (the committed-L3 case).
-        surv_mask = None
-    else:
-        surv_mask = occ >= (np.repeat(counts, counts) - a)
-    evictions = int(np.maximum(0, total - a).sum())
-    return cs, u, f, h, counts, starts, slots, surv_mask, victims, \
-        total, evictions, vslots
+    return (slots, victims, vslots, int(vslots.shape[0]), cs, u, h,
+            f + counts, cs[starts + counts - 1])
 
 
-def _apply_fill_g(cache, plan, views) -> int:
-    """Commit a :func:`_plan_fill_g` plan; return the eviction delta."""
-    cs, u, f, h, counts, starts, slots, surv_mask, victims, total, \
-        evictions, _vslots = plan
+def _apply_fill_g(cache, plan, views) -> None:
+    """Commit a :func:`_plan_fill_g` plan's tag window updates."""
+    slots, _victims, _vslots, _ev, cs, u, h, total, last = plan
     tags_np, fill_np, heads_np = views
     a = cache._assoc
-    if surv_mask is None:
-        surv = cs
-        tags_np[slots] = cs
-    else:
-        surv = cs[surv_mask]
-        tags_np[slots[surv_mask]] = surv
+    tags_np[slots] = cs
     # A set that wrapped keeps rotating (head advances once per
     # eviction); one that stayed partial keeps the head-0 invariant.
     heads_np[u] = np.where(total >= a, (h + total) % a, 0)
     fill_np[u] = np.minimum(a, total)
     mru = cache._mru
-    for s, addr in zip(u.tolist(), cs[starts + counts - 1].tolist()):
+    for s, addr in zip(u.tolist(), last.tolist()):
         mru[s] = addr
-    resident = cache._resident
-    resident.difference_update(victims.tolist())
-    resident.update(surv.tolist())
-    return evictions
 
 
 def _fill_replace_py(cache, c_list: list, m: int) -> int:
@@ -345,112 +328,6 @@ def _fill_scalar(cache, miss_list: list) -> int:
     return evictions
 
 
-#: Minimum collapsed-stream length for the batched private fill: below
-#: this the grouped per-set slice updates lose to the scalar loop
-#: (tuned on the pointer-chase shape; see bench_simspeed).  The verb
-#: owns the window up to ``2 * capacity`` where :func:`_fill_dense`
-#: takes over.
-_FILL_BATCH_MIN = 384
-
-
-def _fill_batch(cache, c: np.ndarray, miss_list: list, m: int) -> int:
-    """Batched index-math twin of :func:`_fill_scalar`.
-
-    The private-level gap between :func:`_fill_dense` (wants ``m >=
-    2 * capacity``) and the scalar loop: the chase shapes collapse to
-    a few hundred distinct misses per batch — too short to replace the
-    whole level, long enough that per-address Python costs dominate.
-    Numpy index math groups the stream by set; each set is then
-    finished with O(1) list-slice operations — one window rotation
-    and one row write — instead of ~ten list and set operations per
-    address, so the cost scales with the level's *set count*, not
-    with ``m``.  Same bit-identical contract as every other fill
-    verb; returns the eviction delta.
-    """
-    a = cache._assoc
-    si = c & cache._set_mask
-    order = si.argsort(kind="stable")
-    ss = si[order]
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=first[1:])
-    starts_np = np.nonzero(first)[0]
-    u_list = ss[starts_np].tolist()
-    starts = starts_np.tolist()
-    starts.append(m)
-    cs_list = c[order].tolist()
-    tags = cache._tags
-    fills = cache._fill_counts
-    heads = cache._heads
-    mru = cache._mru
-    vict_list: list = []
-    surv_list: list = []
-    evictions = 0
-    for gi, s in enumerate(u_list):
-        seg = cs_list[starts[gi]:starts[gi + 1]]
-        k = len(seg)
-        fill = fills[s]
-        total = fill + k
-        base = s * a
-        if total <= a:
-            # Stays within the ways: partial rows are a plain prefix
-            # (head 0), so the insertions append as one slice write.
-            tags[base + fill:base + total] = seg
-            fills[s] = total
-            surv_list += seg
-            mru[s] = seg[-1]
-            continue
-        evictions += total - a
-        head = heads[s]
-        mru[s] = seg[-1]
-        if fill == a and k < a:
-            # Steady state: the k oldest lines (the circular run
-            # starting at ``head``) are overwritten in place —
-            # insertion i lands at slot (head + i) % a.
-            end = head + k
-            if end <= a:
-                vict_list += tags[base + head:base + end]
-                tags[base + head:base + end] = seg
-            else:
-                end -= a
-                vict_list += tags[base + head:base + a]
-                vict_list += tags[base:base + end]
-                split = a - head
-                tags[base + head:base + a] = seg[:split]
-                tags[base:base + end] = seg[split:]
-            surv_list += seg
-            heads[s] = end if end < a else 0
-        elif k >= a:
-            # The whole row is replaced by the last ``a`` insertions.
-            vict_list += tags[base:base + a] if fill == a \
-                else tags[base:base + fill]
-            seg = seg[k - a:]
-            surv_list += seg
-            hn = (head + total) % a
-            # Physical row = survivors rotated so index ``hn`` holds
-            # the oldest surviving line.
-            tags[base:base + a] = (seg[a - hn:] + seg[:a - hn]
-                                   if hn else seg)
-            heads[s] = hn
-            fills[s] = a
-        else:
-            # Overflowing partial set (head 0, fill < a, k < a): only
-            # during warm-up.  Build the combined window explicitly.
-            win = tags[base:base + fill]
-            vict_list += win[:total - a]
-            surv_list += seg
-            new_win = (win + seg)[total - a:]
-            hn = total % a
-            tags[base:base + a] = (new_win[a - hn:] + new_win[:a - hn]
-                                   if hn else new_win)
-            heads[s] = hn
-            fills[s] = a
-    resident = cache._resident
-    resident.difference_update(vict_list)
-    resident.update(surv_list)
-    return evictions
-
-
 def _fill_dense(cache, c: np.ndarray, miss_list: list, m: int) -> int:
     """Fill a private level from a miss stream much larger than it.
 
@@ -527,289 +404,101 @@ def _fill_dense(cache, c: np.ndarray, miss_list: list, m: int) -> int:
 def _plan_l3_consec(cache, c: np.ndarray, views):
     """Consecutive-run twin of :func:`_plan_fill_g` for the shared L3.
 
-    Only valid when ``m >= num_sets`` and no set overflows its ways
-    (the caller checks ``m // num_sets + 1 <= assoc``), so every
-    insertion survives.  Returns ``(slots, victims, total, last_i,
-    evictions, vslots)``.
+    Only valid when ``m >= num_sets``: element ``i`` of a consecutive
+    run is its set's ``i // num_sets``-th insertion, so every per-set
+    quantity reduces to positional arithmetic.  Same ``None`` contract
+    and same first four fields as :func:`_plan_fill_g`; the rest is
+    ``(total, last_i)``, per set its fill plus insertions and the
+    position of its last (MRU) insertion in ``c``.
     """
     tags_np, fill_np, heads_np = views
     a = cache._assoc
     nsets = cache._num_sets
     mask = cache._set_mask
     m = c.shape[0]
+    if m // nsets + (1 if m % nsets else 0) > a:
+        return None
     c0 = int(c[0])
     si = c & mask
     occ = _ar(m) // nsets
     occf = fill_np[si] + occ
     slots = si * a + (heads_np[si] + occf) % a
-    victim_mask = occf >= a
-    vslots = slots[victim_mask]
+    vslots = slots[occf >= a]
     victims = tags_np[vslots]
     counts = np.full(nsets, m // nsets, dtype=np.int64)
     rem = m - (m // nsets) * nsets
     if rem:
         counts[(c0 + _ar(rem)) & mask] += 1
-    total = fill_np + counts
-    # With k <= assoc per set (caller-checked), every overwritten slot
-    # held a pre-batch line: eviction count == victim count.
-    evictions = int(victims.shape[0])
     first_i = (_ar(nsets) - c0) % nsets
     last_i = first_i + (counts - 1) * nsets
-    return slots, victims, total, last_i, evictions, vslots
+    return (slots, victims, vslots, int(vslots.shape[0]),
+            fill_np + counts, last_i)
 
 
-def _apply_l3_consec(cache, c, plan, views, miss_list) -> int:
-    """Commit a :func:`_plan_l3_consec` plan; return the evictions."""
-    slots, victims, total, last_i, evictions, _vslots = plan
+def _apply_l3_consec(cache, c, plan, views) -> None:
+    """Commit a :func:`_plan_l3_consec` plan's tag window updates."""
+    slots, _victims, _vslots, _ev, total, last_i = plan
     tags_np, fill_np, heads_np = views
     a = cache._assoc
     tags_np[slots] = c
     cache._mru[:] = c[last_i].tolist()
     heads_np[:] = np.where(total >= a, (heads_np + total) % a, 0)
     fill_np[:] = np.minimum(a, total)
-    return evictions
 
 
-class _MixedL3Plan:
-    """Validated per-stratum L3 update for a hit/miss mixed prefix."""
+def _rotate_hits(cache, hit_c: np.ndarray, views, own_col: np.ndarray,
+                 own_bit: int) -> int:
+    """Move each hit line of ``hit_c`` to its set's MRU position.
 
-    __slots__ = ("plan_a", "sets_b", "addr_b", "replays", "victims",
-                 "evictions")
-
-    def __init__(self, plan_a, sets_b, addr_b, replays, victims,
-                 evictions):
-        self.plan_a = plan_a
-        self.sets_b = sets_b
-        self.addr_b = addr_b
-        self.replays = replays
-        self.victims = victims
-        self.evictions = evictions
-
-
-def _plan_mixed_l3(cache, c: np.ndarray, hit: np.ndarray, views,
-                   own_col: np.ndarray, own_bit: int):
-    """Plan and validate an L3 update mixing hits and misses.
-
-    No mutation.  Returns ``None`` when an L3 set receives more lines
-    than it has ways, or when a predicted hit fails validation (the
-    sequential walk would have evicted the line first) — the caller
-    must fall back to the scalar kernel.  The stratum-(c) replays also
-    evolve each set's row of ``own_col`` (the L3 owner-bitmask view)
-    in lockstep on extracted copies, recording the victims' masks and
-    how many hit lines gained this core's bit.
+    The sets are distinct (commit's decline rule), so one vectorized
+    pass does every move: gather each set's window in LRU order,
+    rotate everything at or after the hit line left by one, put the
+    line at the logical tail, and scatter back.  Slots past a partial
+    window keep their (stale) contents.  The owner-bitmask column
+    ``own_col`` rolls in lockstep and each hit line gains ``own_bit``;
+    returns how many lines gained it.
     """
     tags_np, fill_np, heads_np = views
     a = cache._assoc
-    si = c & cache._set_mask
-    order = si.argsort(kind="stable")
-    ss = si[order]
-    cs = c[order]
-    hs = hit[order]
-    nn = ss.shape[0]
-    first = np.empty(nn, dtype=bool)
-    first[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=first[1:])
-    starts = np.nonzero(first)[0]
-    u = ss[starts]
-    counts = np.diff(np.append(starts, nn))
-    if int(counts.max()) > a:
-        return None
-    hit_counts = np.add.reduceat(hs.astype(np.int64), starts)
-    pure = hit_counts == 0
-    single_hit = (counts == 1) & (hit_counts == 1)
-    # Stratum (a): miss-only sets — the closed-form bulk fill.
-    # Stable re-grouping of an already set-sorted subsequence keeps
-    # every set's insertions in batch order.
-    plan_a = None
-    elem_pure = np.repeat(pure, counts)
-    c_a = cs[elem_pure]
-    if c_a.size:
-        plan_a = _plan_fill_g(cache, c_a, views)
-    victims: list[int] = plan_a[8].tolist() if plan_a is not None else []
-    evictions = plan_a[10] if plan_a is not None else 0
-    # Stratum (b): one access, a hit — always valid (the line is
-    # pre-resident and nothing else touches the set).
-    sets_b = u[single_hit]
-    addr_b = cs[starts[single_hit]]
-    # Stratum (c): everything else mixes a hit with other accesses;
-    # replay each set sequentially on extracted copies, mirroring the
-    # scalar kernel's L3 branches exactly.
-    replays = []
-    for g in np.nonzero(~pure & ~single_hit)[0].tolist():
-        s = int(u[g])
-        st = int(starts[g])
-        cnt = int(counts[g])
-        ops_addr = cs[st:st + cnt].tolist()
-        ops_hit = hs[st:st + cnt].tolist()
-        base = s * a
-        fill = int(fill_np[s])
-        head = int(heads_np[s])
-        mru = cache._mru[s]
-        tags = tags_np[base:base + a].tolist()
-        own_row = own_col[base:base + a].tolist()
-        vict: list[int] = []
-        vict_masks: list[int] = []
-        ev = nh = nm = gained = 0
-        for addr, pred in zip(ops_addr, ops_hit):
-            if mru == addr:
-                if not pred:
-                    return None
-                nh += 1
-                # The MRU line sits at the logical tail.
-                t = fill - 1 if fill < a else (head - 1 if head else a - 1)
-                if not own_row[t] & own_bit:
-                    own_row[t] |= own_bit
-                    gained += 1
-                continue
-            try:
-                w = tags.index(addr, 0, fill if fill < a else a)
-            except ValueError:
-                w = -1
-            if w >= 0:
-                if not pred:
-                    return None
-                # Move-to-tail, wrap-aware when the window is rotated.
-                if fill < a:
-                    t = fill - 1
-                    ob = own_row[w]
-                    own_row[w:t] = own_row[w + 1:fill]
-                    own_row[t] = ob
-                    tags[w:t] = tags[w + 1:fill]
-                    tags[t] = addr
-                else:
-                    tail = head - 1 if head else a - 1
-                    t = tail
-                    if w <= tail:
-                        ob = own_row[w]
-                        own_row[w:tail] = own_row[w + 1:tail + 1]
-                        own_row[tail] = ob
-                        tags[w:tail] = tags[w + 1:tail + 1]
-                        tags[tail] = addr
-                    else:
-                        end = a - 1
-                        ob = own_row[w]
-                        own_row[w:end] = own_row[w + 1:end + 1]
-                        own_row[end] = own_row[0]
-                        own_row[0:tail] = own_row[1:tail + 1]
-                        own_row[tail] = ob
-                        tags[w:end] = tags[w + 1:end + 1]
-                        tags[end] = tags[0]
-                        tags[0:tail] = tags[1:tail + 1]
-                        tags[tail] = addr
-                mru = addr
-                nh += 1
-                if not own_row[t] & own_bit:
-                    own_row[t] |= own_bit
-                    gained += 1
-            else:
-                if pred:
-                    # An earlier in-batch fill evicted this predicted
-                    # hit: the candidate pricing is wrong; fall back.
-                    return None
-                nm += 1
-                if fill >= a:
-                    vict.append(tags[head])
-                    tags[head] = addr
-                    vict_masks.append(own_row[head])
-                    own_row[head] = own_bit
-                    head = head + 1 if head + 1 < a else 0
-                    ev += 1
-                else:
-                    tags[fill] = addr
-                    own_row[fill] = own_bit
-                    fill += 1
-                mru = addr
-        replays.append((s, tags, fill, head, mru, vict, ev, nm,
-                        own_row, vict_masks, gained))
-        victims.extend(vict)
-        evictions += ev
-    return _MixedL3Plan(plan_a, sets_b, addr_b, replays, victims,
-                        evictions)
-
-
-def _apply_mixed_l3(cache, mixed: _MixedL3Plan, views,
-                    own_col: np.ndarray, own_bit: int):
-    """Commit a validated :class:`_MixedL3Plan`.
-
-    The owner-bitmask column ``own_col`` is updated in lockstep —
-    stratum (a) scatters this core's bit over the inserted slots
-    (gathering the victims' masks first), stratum (b) mirrors the
-    move-to-tail roll and ORs the bit into each hit line, stratum (c)
-    writes back the replayed owner rows.  Returns ``(gained,
-    vict_masks)``: how many pre-resident hit lines gained the bit, and
-    the victims' owner masks aligned with ``mixed.victims``.
-    """
-    tags_np, fill_np, heads_np = views
-    a = cache._assoc
-    resident = cache._resident
-    mru_list = cache._mru
-    gained = 0
-    vict_masks: list[int] = []
-    if mixed.plan_a is not None:
-        # Victim masks live in the slots the inserts overwrite: gather
-        # before the scatter claims them.  Every insertion survives
-        # (set counts are capped at the ways), so the scatter covers
-        # all planned slots.
-        vict_masks.extend(own_col[mixed.plan_a[11]].tolist())
-        _apply_fill_g(cache, mixed.plan_a, views)
-        own_col[mixed.plan_a[6]] = own_bit
-    sets_b = mixed.sets_b
-    if sets_b.size:
-        # Bulk move-to-tail: gather each set's window in LRU order,
-        # rotate everything at or after the hit line left by one, drop
-        # the line at the logical tail, and scatter back.  Slots past
-        # a partial window keep their (stale) contents.
-        k = sets_b.shape[0]
-        addr_b = mixed.addr_b
-        h = heads_np[sets_b]
-        length = fill_np[sets_b]
-        ways = _ar(a)
-        phys = sets_b[:, None] * a + (h[:, None] + ways[None, :]) % a
-        logical = tags_np[phys]
-        valid = ways[None, :] < length[:, None]
-        p = ((logical == addr_b[:, None]) & valid).argmax(axis=1)
-        rolled = np.empty_like(logical)
-        rolled[:, :-1] = logical[:, 1:]
-        rolled[:, -1] = logical[:, -1]
-        roll_mask = (ways[None, :] >= p[:, None]) & valid
-        out = np.where(roll_mask, rolled, logical)
-        rows = _ar(k)
-        out[rows, length - 1] = addr_b
-        tags_np[phys.ravel()] = out.ravel()
-        ologic = own_col[phys]
-        ohit = ologic[rows, p]
-        orolled = np.empty_like(ologic)
-        orolled[:, :-1] = ologic[:, 1:]
-        orolled[:, -1] = ologic[:, -1]
-        oout = np.where(roll_mask, orolled, ologic)
-        oout[rows, length - 1] = ohit | own_bit
-        own_col[phys.ravel()] = oout.ravel()
-        gained += int(np.count_nonzero((ohit & own_bit) == 0))
-        for s, addr in zip(sets_b.tolist(), addr_b.tolist()):
-            mru_list[s] = addr
-    for s, tags, fill, head, mru, vict, _ev, _nm, own_row, vmasks, \
-            g in mixed.replays:
-        base = s * a
-        tags_np[base:base + a] = tags
-        own_col[base:base + a] = own_row
-        vict_masks.extend(vmasks)
-        gained += g
-        fill_np[s] = fill
-        heads_np[s] = head
-        mru_list[s] = mru
-        if vict:
-            resident.difference_update(vict)
-    return gained, vict_masks
+    sets = hit_c & cache._set_mask
+    k = sets.shape[0]
+    h = heads_np[sets]
+    length = fill_np[sets]
+    ways = _ar(a)
+    phys = sets[:, None] * a + (h[:, None] + ways[None, :]) % a
+    logical = tags_np[phys]
+    valid = ways[None, :] < length[:, None]
+    p = ((logical == hit_c[:, None]) & valid).argmax(axis=1)
+    rolled = np.empty_like(logical)
+    rolled[:, :-1] = logical[:, 1:]
+    rolled[:, -1] = logical[:, -1]
+    roll_mask = (ways[None, :] >= p[:, None]) & valid
+    out = np.where(roll_mask, rolled, logical)
+    rows = _ar(k)
+    out[rows, length - 1] = hit_c
+    tags_np[phys.ravel()] = out.ravel()
+    ologic = own_col[phys]
+    ohit = ologic[rows, p]
+    orolled = np.empty_like(ologic)
+    orolled[:, :-1] = ologic[:, 1:]
+    orolled[:, -1] = ologic[:, -1]
+    oout = np.where(roll_mask, orolled, ologic)
+    oout[rows, length - 1] = ohit | own_bit
+    own_col[phys.ravel()] = oout.ravel()
+    mru = cache._mru
+    for s, addr in zip(sets.tolist(), hit_c.tolist()):
+        mru[s] = addr
+    return int(np.count_nonzero((ohit & own_bit) == 0))
 
 
 def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
     """Apply the first ``n_exec`` accesses of a classified batch.
 
     Returns ``False`` — with **no state mutated** — when the bulk
-    update cannot replay the sequential walk (an overloaded L3 set, an
-    invalidated hit prediction, or a back-invalidation into
-    this core's own L1/L2); the caller must then re-route the whole
-    untouched batch through ``access_many``.  On ``True``, every
+    update cannot replay the sequential walk (an overloaded L3 set, a
+    hit sharing its set with another access, or a back-invalidation
+    into this core's own L1/L2); the caller must then re-route the
+    whole untouched batch through ``access_many``.  On ``True``, every
     counter, stat, tag array, owner record, and occupancy figure is
     bit-identical to the scalar walk over that same prefix.
     """
@@ -824,46 +513,39 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
         l1.stats.hits += n_exec
         return True
     c = plan.c[:m]
-    hit = None
+    miss_c = c
+    hit_c = None
     nh3 = 0
-    if plan.hit is not None:
-        hit = plan.hit[:m]
-        nh3 = int(hit.sum())
-        if nh3 == 0:
-            hit = None
     l2 = hierarchy.l2[core]
     l3 = hierarchy.l3
-    a3 = l3._assoc
+    if plan.hit is not None:
+        hit = plan.hit[:m]
+        nh3 = int(np.count_nonzero(hit))
+        if nh3:
+            # A resident line only leaves its set when other lines
+            # enter it, so a predicted hit is exact when its set takes
+            # no other access in the executed prefix; decline otherwise.
+            si3 = c & l3._set_mask
+            if not (np.bincount(si3)[si3[hit]] == 1).all():
+                return False
+            hit_c = c[hit]
+            miss_c = c[~hit]
     # Views are created here and die with this frame: a surviving view
     # would keep the array('q') buffers exported and break the scalar
     # verbs' slice assignments (see SetAssociativeCache._vector_views).
     views3 = l3._vector_views()
-    own_bit = 1 << core
-    own_col = l3._owner_view()
-    mixed = plan3 = None
-    consec3 = False
-    miss_list = None
-    if hit is None:
-        if plan.consec and m >= l3._num_sets:
-            if m // l3._num_sets + (1 if m % l3._num_sets else 0) > a3:
-                return False
-            consec3 = True
-            plan3 = _plan_l3_consec(l3, c, views3)
-            victims3 = plan3[1]
-        else:
-            plan3 = _plan_fill_g(l3, c, views3)
-            if int(plan3[4][plan3[4].argmax()]) > a3:
-                # An L3 set receives more lines than ways: some
-                # victims would be batch lines, whose mid-batch
-                # eviction the bulk update cannot replay.
-                return False
-            victims3 = plan3[8]
-        victims_list = victims3.tolist()
-    else:
-        mixed = _plan_mixed_l3(l3, c, hit, views3, own_col, own_bit)
-        if mixed is None:
+    # classify only marks all-miss streams consecutive.
+    consec = plan.consec
+    consec3 = consec and m >= l3._num_sets
+    plan3 = None
+    victims_list: list[int] = []
+    if miss_c.size:
+        plan3 = (_plan_l3_consec if consec3 else _plan_fill_g)(
+            l3, miss_c, views3)
+        if plan3 is None:
             return False
-        victims_list = mixed.victims
+        victims3 = plan3[1]
+        victims_list = victims3.tolist()
     if victims_list:
         # The L3 is inclusive (the owner column implies it), so every
         # victim is back-invalidated.  The L3 evicts its stalest lines
@@ -873,8 +555,7 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
         # hash scans.
         res1 = l1._resident
         res2 = l2._resident
-        vmax = (int(victims3.max()) if mixed is None
-                else max(victims_list))
+        vmax = int(victims3.max())
         if ((res1 and vmax >= min(res1))
                 or (res2 and vmax >= min(res2))):
             if not (res1.isdisjoint(victims_list)
@@ -883,92 +564,71 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
                 # would change their evolution; fall back.
                 return False
     # -- all checks passed: mutate -------------------------------------
-    consec12 = plan.consec
     # The one python-list rendering of the executed collapsed stream,
-    # shared by the private-level scalar fills, the resident-set
-    # updates, and the owner-record insert below.
+    # shared by the private-level scalar fills and the L3 resident-set
+    # update below.
     exec_list = plan.c_list
     if exec_list is None:
         exec_list = c.tolist()
     elif len(exec_list) != m:
         exec_list = exec_list[:m]
-    miss_list = exec_list if mixed is None else None
     # Private levels are list-backed (see SetAssociativeCache): every
     # executed collapsed access misses them (classify proved the batch
     # disjoint from both resident sets), and their capacities are small
     # enough that scalar fills beat the numpy dispatch overhead.
     cap1 = l1._num_sets * l1._assoc
-    if consec12 and m >= cap1:
+    if consec and m >= cap1:
         ev1 = _fill_replace_py(l1, exec_list, m)
     elif m >= 2 * cap1:
         ev1 = _fill_dense(l1, c, exec_list, m)
-    elif m >= _FILL_BATCH_MIN:
-        ev1 = _fill_batch(l1, c, exec_list, m)
     else:
         ev1 = _fill_scalar(l1, exec_list)
     cap2 = l2._num_sets * l2._assoc
-    if consec12 and m >= cap2:
+    if consec and m >= cap2:
         ev2 = _fill_replace_py(l2, exec_list, m)
     elif m >= 2 * cap2:
         ev2 = _fill_dense(l2, c, exec_list, m)
-    elif m >= _FILL_BATCH_MIN:
-        ev2 = _fill_batch(l2, c, exec_list, m)
     else:
         ev2 = _fill_scalar(l2, exec_list)
-    l3_resident = l3._resident
-    gained3 = 0
-    vmasks3 = None
-    vict_masks: list[int] = []
-    if mixed is None:
+    own_bit = 1 << core
+    own_col = l3._owner_view()
+    ev3 = gained3 = 0
+    if plan3 is not None:
         # The victims' owner masks sit in the slots the inserts
-        # overwrite; gather before the scatter claims them.
-        vmasks3 = own_col[plan3[5 if consec3 else 11]]
+        # overwrite; gather before the scatter claims them.  Every
+        # insertion survives, so the scatter covers all planned slots.
+        vmasks3 = own_col[plan3[2]]
         if consec3:
-            ev3 = _apply_l3_consec(l3, c, plan3, views3, miss_list)
-            l3_resident.difference_update(victims_list)
-            l3_resident.update(miss_list)
-            own_col[plan3[0]] = own_bit
+            _apply_l3_consec(l3, c, plan3, views3)
         else:
-            ev3 = _apply_fill_g(l3, plan3, views3)
-            # Every insertion survives (set counts capped at the ways,
-            # checked above), so the scatter covers all slots.
-            own_col[plan3[6]] = own_bit
-    else:
-        applied = _apply_mixed_l3(l3, mixed, views3, own_col, own_bit)
-        gained3, vict_masks = applied
-        ev3 = mixed.evictions
-        miss_list = c[~hit].tolist()
-        l3_resident.update(miss_list)
+            _apply_fill_g(l3, plan3, views3)
+        own_col[plan3[0]] = own_bit
+        ev3 = plan3[3]
+        l3_resident = l3._resident
+        l3_resident.difference_update(victims_list)
+        l3_resident.update(exec_list if hit_c is None
+                           else miss_c.tolist())
+    if hit_c is not None:
+        gained3 = _rotate_hits(l3, hit_c, views3, own_col, own_bit)
     del views3, own_col
     occupancy = hierarchy._occupancy
     nm3 = m - nh3
     # The scalar walk's linearization: hit sharers first, victim pops
-    # second, miss inserts last (every validated hit precedes any
-    # eviction of its line).  The bit scatters already happened
+    # second, miss inserts last (hits and misses touch disjoint sets,
+    # so no hit line is a victim).  The bit scatters already happened
     # alongside the tag applies; what is left is the occupancy/steal/
     # back-invalidation fan-out.
-    occupancy[core] += gained3
+    occupancy[core] += gained3 + nm3
     if victims_list:
-        if vmasks3 is not None:
-            foreign = bool((vmasks3 & ~own_bit).any())
-            vm_list = vmasks3.tolist() if foreign else None
-            own_count = int(np.count_nonzero(vmasks3))
-        else:
-            merged = 0
-            for mask in vict_masks:
-                merged |= mask
-            foreign = bool(merged & ~own_bit)
-            vm_list = vict_masks
-            own_count = sum(1 for mask in vict_masks if mask)
-        if not foreign:
-            # Every victim was solely ours (or untracked): one aggregate
-            # occupancy decrement, no steals, and — the check above
-            # proved our own L1/L2 clean — no back-invalidations.
-            occupancy[core] -= own_count
+        if not (vmasks3 & ~own_bit).any():
+            # Every victim was solely ours: one aggregate occupancy
+            # decrement, no steals, and — the check above proved our
+            # own L1/L2 clean — no back-invalidations.
+            occupancy[core] -= int(np.count_nonzero(vmasks3))
         else:
             l1_caches = hierarchy.l1
             l2_caches = hierarchy.l2
-            for victim, mask in zip(victims_list, vm_list):
+            for victim, mask in zip(victims_list, vmasks3.tolist()):
                 owner = 0
                 while mask:
                     if mask & 1:
@@ -990,8 +650,6 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
                         # victim is absent from our own L1/L2).
                     mask >>= 1
                     owner += 1
-    if miss_list:
-        occupancy[core] += nm3
     # -- flush batch-local deltas --------------------------------------
     nh1 = n_exec - m
     counters_core = counters_all[core]
@@ -1016,7 +674,7 @@ def commit(hierarchy, core: int, plan: BatchPlan, n_exec: int) -> bool:
     stats.evictions += ev3
     # Raise the monotone fill bounds (conservatively over the whole
     # executed stream; see SetAssociativeCache._max_tag).
-    mx = exec_list[-1] if consec12 else int(c.max())
+    mx = exec_list[-1] if consec else int(c.max())
     if mx > l1._max_tag:
         l1._max_tag = mx
     if mx > l2._max_tag:

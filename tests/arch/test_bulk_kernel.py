@@ -224,9 +224,10 @@ def _vector_stream(steps):
     """Turn (core, length, rewind, reps) steps into address batches.
 
     A cursor walks upward; ``rewind`` re-visits recently streamed lines
-    (exercising the resident-line fallback and the mixed L3 hit/miss
-    strata) and ``reps`` expands each address into a consecutive repeat
-    run (exercising run collapsing and the pure-MRU-repeat edge).
+    (exercising the resident-line fallback, the L3 hit rotation and
+    the hit-sharing-its-set decline) and ``reps`` expands each address
+    into a consecutive repeat run (exercising run collapsing and the
+    pure-MRU-repeat edge).
     """
     cur = 0
     batches = []
@@ -242,8 +243,9 @@ def _vector_stream(steps):
 
 
 #: Mostly-ascending streams with occasional rewinds and repeat runs:
-#: the mix lands batches in every vector-kernel stratum (consecutive
-#: fast path, mixed hit/miss, classify-declined, commit-declined).
+#: the mix lands batches on every vector-kernel route (consecutive
+#: all-miss fill, grouped fill, hit rotation, classify-declined,
+#: commit-declined).
 VECTOR_BATCHES = st.lists(
     st.tuples(
         st.integers(0, 1),
@@ -318,21 +320,47 @@ class TestVectorDifferential:
 
     def test_mixed_hit_miss_batch_commits(self):
         # Re-streaming lines that fell out of the private caches but
-        # still sit in the L3 exercises the mixed hit/miss strata.
+        # still sit in the L3, one hit per L3 set, next to cold misses
+        # into other sets: the hits rotate to MRU in bulk and the
+        # misses take the grouped fill.
         with tier_env(vector="1"):
             kern, ref = hierarchy_pair(tiny_machine())
             warm = list(range(64))
             assert kern.access_many(0, warm) == [
                 ref.access(0, a) for a in warm
             ]
-            # 0..47 are L3 hits (48..63 still sit in L1/L2, so stop
-            # short of them); 200..247 are cold misses.
-            batch = list(range(48)) + list(range(200, 248))
+            # 0..3 are L3 hits in sets 0..3 (48..63 still sit in
+            # L1/L2); 200..203 are cold misses into sets 8..11.
+            batch = [0, 1, 2, 3, 200, 201, 202, 203]
             plan = kern.vector_classify(0, np.asarray(batch, np.int64))
             assert plan is not None
             assert plan.hit is not None and plan.hit.any()
             assert kern.vector_commit(0, plan, len(batch))
             assert plan.levels.tolist() == [
+                ref.access(0, a) for a in batch
+            ]
+            assert snapshot(kern) == snapshot(ref)
+
+    def test_hit_sharing_its_set_declines_untouched(self):
+        # A predicted hit whose L3 set also takes a miss: commit must
+        # refuse with NO state mutated, and the scalar re-route must
+        # then match the reference exactly.
+        with tier_env(vector="1"):
+            kern, ref = hierarchy_pair(tiny_machine())
+            warm = list(range(64))
+            assert kern.access_many(0, warm) == [
+                ref.access(0, a) for a in warm
+            ]
+            # Line 0 is an L3 hit in set 0; 208 is a cold miss into
+            # the same set.
+            batch = [0, 208, 201]
+            plan = kern.vector_classify(0, np.asarray(batch, np.int64))
+            assert plan is not None
+            assert plan.hit is not None and plan.hit.any()
+            before = snapshot(kern)
+            assert not kern.vector_commit(0, plan, len(batch))
+            assert snapshot(kern) == before
+            assert kern.access_many(0, batch) == [
                 ref.access(0, a) for a in batch
             ]
             assert snapshot(kern) == snapshot(ref)

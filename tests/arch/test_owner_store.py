@@ -205,42 +205,41 @@ class TestOwnerEdgeCases:
 
 
 def fill_pair(num_sets: int = 8, assoc: int = 4):
-    """Two identical cold list-backed private levels (batched vs scalar)."""
+    """Two identical cold list-backed private levels (dense vs scalar)."""
     with tier_env():
         geo = CacheGeometry(num_sets=num_sets, associativity=assoc)
-        bat = SetAssociativeCache("bat", geo, make_policy("lru", assoc))
+        dense = SetAssociativeCache("dense", geo, make_policy("lru", assoc))
         ref = SetAssociativeCache("ref", geo, make_policy("lru", assoc))
-    assert bat._flat and not bat._vector
-    assert isinstance(bat._tags, list)
-    return bat, ref
+    assert dense._flat and not dense._vector
+    assert isinstance(dense._tags, list)
+    return dense, ref
 
 
-def drive_fill(bat, ref, stream):
+def drive_fill(dense, ref, stream):
     """One all-miss distinct stream through both verbs; compare state."""
     c = np.asarray(stream, dtype=np.int64)
-    assert vector_kernel._fill_batch(bat, c, stream, len(stream)) == \
+    assert vector_kernel._fill_dense(dense, c, stream, len(stream)) == \
         vector_kernel._fill_scalar(ref, list(stream))
-    assert bat._tags == ref._tags
-    assert bat._fill_counts == ref._fill_counts
-    assert bat._heads == ref._heads
-    assert bat._mru == ref._mru
-    assert bat._resident == ref._resident
+    assert dense._tags == ref._tags
+    assert dense._fill_counts == ref._fill_counts
+    assert dense._heads == ref._heads
+    assert dense._mru == ref._mru
+    assert dense._resident == ref._resident
 
 
-class TestFillBatchVerb:
-    """`_fill_batch` replays `_fill_scalar`'s exact physical state.
+class TestFillDenseVerb:
+    """`_fill_dense` replays `_fill_scalar`'s exact physical state.
 
-    The verb only dispatches for collapsed streams of ≥ 384 misses —
-    beyond what the tiny-machine differential suites generate — so it
-    gets direct coverage here: every window branch (partial append,
-    in-place circular overwrite with and without wrap-around, full
-    replacement from empty/partial/full, overflowing partial set),
-    plus a randomized soak and an end-to-end commit that proves the
-    dispatch actually routes through it on a wide machine.
+    The commit only dispatches the backward dense fill for streams of
+    at least twice the level's capacity, but the verb is exact for any
+    stream length, so it is checked directly on every window shape
+    (partial append, in-place circular overwrite with and without
+    wrap-around, full replacement from empty/partial/full, overflowing
+    partial set), plus a randomized soak of short streams.
     """
 
     def test_each_window_branch(self):
-        bat, ref = fill_pair()
+        dense, ref = fill_pair()
         counter = itertools.count()
 
         def seg(s, k):
@@ -248,55 +247,35 @@ class TestFillBatchVerb:
             return [next(counter) * 8 + s for _ in range(k)]
 
         def merge(*segs):
-            # Round-robin interleave so the argsort grouping is real.
+            # Round-robin interleave so the per-set streams interleave.
             return [a for tup in itertools.zip_longest(*segs)
                     for a in tup if a is not None]
 
         # Cold: partial (2), exactly-full (4), overflow-from-empty
         # k >= a (6), partial (3).
-        drive_fill(bat, ref, merge(seg(0, 2), seg(1, 4),
-                                   seg(2, 6), seg(3, 3)))
-        assert bat._fill_counts[:4] == [2, 4, 4, 3]
-        assert bat._heads[2] == 2  # 6 inserts into 4 ways wrapped
+        drive_fill(dense, ref, merge(seg(0, 2), seg(1, 4),
+                                     seg(2, 6), seg(3, 3)))
+        assert dense._fill_counts[:4] == [2, 4, 4, 3]
+        assert dense._heads[2] == 2  # 6 inserts into 4 ways wrapped
         # Warm: partial append (1), full-set in-place without wrap
         # (k=2, head 0 -> 2), full-set in-place WITH wrap (k=3 from
         # head 2), overflowing partial set (fill 3 + k 3 > a).
-        drive_fill(bat, ref, merge(seg(0, 1), seg(1, 2),
-                                   seg(2, 3), seg(3, 3)))
-        assert bat._heads[1] == 2 and bat._heads[2] == 1
+        drive_fill(dense, ref, merge(seg(0, 1), seg(1, 2),
+                                     seg(2, 3), seg(3, 3)))
+        assert dense._heads[1] == 2 and dense._heads[2] == 1
         # Full replacement over a full set (k=5 >= a) and over a
         # partial set (set 0 holds 3 of 4).
-        drive_fill(bat, ref, merge(seg(1, 5), seg(0, 7)))
-        drive_fill(bat, ref, seg(4, 1))  # untouched-set sanity
+        drive_fill(dense, ref, merge(seg(1, 5), seg(0, 7)))
+        drive_fill(dense, ref, seg(4, 1))  # untouched-set sanity
 
     def test_randomized_soak(self):
-        bat, ref = fill_pair()
+        dense, ref = fill_pair()
         rng = random.Random(1234)
         counter = itertools.count()
         for _ in range(200):
             stream = [next(counter) * 8 + rng.randrange(8)
                       for _ in range(rng.randrange(1, 40))]
-            drive_fill(bat, ref, stream)
-
-    def test_vector_commit_routes_through_fill_batch(self, monkeypatch):
-        # A wide L2 (512 lines) puts a 400-miss batch inside
-        # `_fill_batch`'s window [384, 2*cap); the stride keeps the
-        # stream non-consecutive so the replacement verbs stay out.
-        calls = []
-        orig = vector_kernel._fill_batch
-        monkeypatch.setattr(
-            vector_kernel, "_fill_batch",
-            lambda *a: calls.append(1) or orig(*a),
-        )
-        machine = tiny_machine(
-            l2=CacheGeometry(num_sets=128, associativity=4),
-            l3=CacheGeometry(num_sets=1024, associativity=8),
-        )
-        drive_pair_vector(machine, [
-            (0, list(range(0, 1200, 3))),
-            (0, list(range(1201, 2401, 3))),
-        ])
-        assert calls
+            drive_fill(dense, ref, stream)
 
 
 class TestInvariantChecker:
