@@ -7,14 +7,23 @@ reuse distance is less than ``C`` (Mattson's stack algorithm).  The
 histogram of reuse distances therefore yields the whole miss-rate curve
 in one pass.
 
-The implementation is the classic O(N log N) algorithm: previous-use
-times in a dict, distinct-count queries via a Fenwick (binary indexed)
-tree over access timestamps.
+The implementation is vectorised.  With ``prev[k]`` the index of the
+previous access to the line that access ``k`` touches, the window
+between them holds ``k - prev[k] - 1`` accesses, of which every
+re-access of a line already seen in the window is a duplicate.  Those duplicates are exactly the
+accesses ``m < k`` with ``prev[m] > prev[k]``, so
+
+    d(k) = k - prev[k] - 1 - #{m < k : prev[m] > prev[k]}
+
+and the count is an inversion count, taken by a bottom-up merge over
+sorted blocks in O(N log^2 N) numpy work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+
+import numpy as np
 
 from ..errors import WorkloadError
 
@@ -22,53 +31,71 @@ from ..errors import WorkloadError
 COLD = -1
 
 
-class _Fenwick:
-    """Binary indexed tree over ``n`` slots supporting prefix sums."""
+def _earlier_greater(values: np.ndarray) -> np.ndarray:
+    """``out[k] = #{m < k : values[m] > values[k]}`` for int32 values.
 
-    def __init__(self, n: int):
-        self._n = n
-        self._tree = [0] * (n + 1)
+    Bottom-up merge: at width ``w`` every right block of a block pair
+    counts the greater elements of its (sorted) left block with one
+    ``searchsorted`` over all pairs at once, their keys offset apart
+    per pair.  Values must lie in ``[-1, len(values))``.
+    """
+    n = values.shape[0]
+    size = 1 << (n - 1).bit_length()
+    # Padding sits after every real access, so no count that is read
+    # back ever includes it.
+    padded = np.full(size, -1, dtype=np.int32)
+    padded[:n] = values
+    counts = np.zeros(size, dtype=np.int32)
+    blocks = padded.copy()  # sorted within blocks of width w
+    span = n + 1
+    w = 1
+    while w < size:
+        pairs = size // (2 * w)
+        offset = np.arange(pairs, dtype=np.int64)[:, None] * span
+        left = blocks.reshape(pairs, 2, w)[:, 0, :] + offset
+        right = padded.reshape(pairs, 2, w)[:, 1, :] + offset
+        # Index of the first greater element in the flattened left
+        # blocks; row j's block ends at (j + 1) * w.
+        first = np.searchsorted(left.ravel(), right.ravel(), side="right")
+        del left, right, offset
+        ends = np.arange(w, size // 2 + 1, w, dtype=np.int64)
+        greater = (ends[:, None] - first.reshape(pairs, w)).astype(np.int32)
+        del first
+        counts.reshape(pairs, 2, w)[:, 1, :] += greater
+        del greater
+        blocks = np.sort(blocks.reshape(pairs, 2 * w), axis=1,
+                         kind="stable").ravel()
+        w *= 2
+    return counts[:n]
 
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        while i <= self._n:
-            self._tree[i] += delta
-            i += i & (-i)
 
-    def prefix_sum(self, index: int) -> int:
-        """Sum of slots [0, index]."""
-        i = index + 1
-        total = 0
-        while i > 0:
-            total += self._tree[i]
-            i -= i & (-i)
-        return total
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of slots [lo, hi]."""
-        if lo > hi:
-            return 0
-        return self.prefix_sum(hi) - (self.prefix_sum(lo - 1) if lo else 0)
+def _reuse_distance_array(trace: Iterable[int]) -> np.ndarray:
+    """Per-access reuse distances as an int32 array."""
+    lines = np.fromiter(trace, dtype=np.int64)
+    n = lines.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int32)
+    # prev[k]: the previous access to line[k] (-1 for a first touch),
+    # read off a stable sort that groups each line's accesses in order.
+    order = np.argsort(lines, kind="stable").astype(np.int32)
+    sorted_lines = lines[order]
+    del lines
+    repeat = sorted_lines[1:] == sorted_lines[:-1]
+    del sorted_lines
+    prev = np.full(n, -1, dtype=np.int32)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    del order, repeat
+    distances = np.arange(n, dtype=np.int32)
+    distances -= prev
+    distances -= 1
+    distances -= _earlier_greater(prev)
+    distances[prev < 0] = COLD
+    return distances
 
 
 def reuse_distances(trace: Iterable[int]) -> list[int]:
     """Per-access reuse distances (:data:`COLD` for first touches)."""
-    trace = list(trace)
-    tree = _Fenwick(len(trace))
-    last_use: dict[int, int] = {}
-    distances: list[int] = []
-    for t, addr in enumerate(trace):
-        prev = last_use.get(addr)
-        if prev is None:
-            distances.append(COLD)
-        else:
-            # Distinct lines touched strictly between prev and t: each
-            # line's *latest* use in that window is marked in the tree.
-            distances.append(tree.range_sum(prev + 1, t - 1))
-            tree.add(prev, -1)
-        tree.add(t, 1)
-        last_use[addr] = t
-    return distances
+    return _reuse_distance_array(trace).tolist()
 
 
 def reuse_distance_histogram(
@@ -79,14 +106,11 @@ def reuse_distance_histogram(
     Returns ``(histogram, cold)`` where ``histogram[d]`` counts accesses
     with reuse distance ``d`` and ``cold`` counts first touches.
     """
-    histogram: dict[int, int] = {}
-    cold = 0
-    for d in reuse_distances(trace):
-        if d == COLD:
-            cold += 1
-        else:
-            histogram[d] = histogram.get(d, 0) + 1
-    return histogram, cold
+    distances = _reuse_distance_array(trace)
+    warm = distances[distances != COLD]
+    values, counts = np.unique(warm, return_counts=True)
+    histogram = dict(zip(values.tolist(), counts.tolist()))
+    return histogram, int(distances.shape[0] - warm.shape[0])
 
 
 def singleton_count(trace: Iterable[int]) -> int:
@@ -112,5 +136,4 @@ def sample_trace(pattern: "object", length: int) -> list[int]:
     """
     if length <= 0:
         raise WorkloadError(f"trace length must be positive: {length}")
-    next_address = pattern.next_address
-    return [next_address() for _ in range(length)]
+    return pattern.next_addresses(length)

@@ -19,9 +19,6 @@ periods with few instructions retired.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add as _fadd
-
 import numpy as np
 
 from ..config import MachineConfig
@@ -31,9 +28,9 @@ from .memory import MainMemory
 #: Upper bound on one address batch drawn from a pattern.
 _MAX_BATCH = 4096
 
-#: Smallest guaranteed-safe batch worth routing through
-#: ``access_many``; below this the scalar tail loop finishes the budget.
-_KERNEL_MIN_BATCH = 8
+#: Shortest batch the vector kernel classifies; a shorter phase tail
+#: goes to ``access_many``.
+_VECTOR_MIN_BATCH = 8
 
 #: Smallest per-budget access estimate for which the vector kernel's
 #: fixed per-batch dispatch cost amortises (the measured engage
@@ -77,8 +74,8 @@ class Core:
         # accounting never exceeds the sum of granted budgets.
         self._stall_debt = 0.0
         # Running estimate of how many accesses one cycle budget
-        # executes, sizing the vector kernel's batches (see run()).
-        self._vector_est = 512
+        # executes, sizing the production path's batches (see run()).
+        self._budget_est = 512
 
     def run(self, process: "object", cycle_budget: float,
             start_cycle: float = 0.0) -> float:
@@ -135,24 +132,29 @@ class Core:
             done = 0
             mru_hits = 0
             if hierarchy.bulk_kernel_ok(cid):
-                # Production path: whole batches through access_many
-                # (or the vector kernel), with cycle accounting from
-                # the returned serving levels.
-                # The per-level costs are the exact expressions the
-                # scalar loop evaluates per access (the memory channel
-                # prices every access in a period identically), so the
-                # float accumulation into `used` is bit-identical.
-                # Batches are sized so even all-worst-case costs cannot
-                # cross the budget: the scalar loop would consume every
-                # address too, and no push-back can be needed.
+                # Production path: batches through the vector kernel or
+                # access_many, both priced from the per-level costs
+                # below.  These are the exact expressions the scalar
+                # loop evaluates per access (the memory channel prices
+                # every access in a period identically), and both paths
+                # accumulate them with the scalar loop's left-to-right
+                # float adds and stop at its budget cutoff, so `used` is
+                # bit-identical.  A batch is sized from what one budget
+                # executed last time (plus 25% for drift); whatever the
+                # cutoff leaves unexecuted is pushed back untouched.
                 c2 = cpa + extra[2] * inv_overlap
                 c3 = cpa + extra[3] * inv_overlap
                 mem_unit = memory.latency + memory.current_queue_delay
                 c4 = cpa + (mem_unit - l1_lat) * inv_overlap
                 costs = (0.0, cpa, c2, c3, c4)
-                worst = max(cpa, c2, c3, c4)
+                est = self._budget_est
+                cap = est + (est >> 2)
+                if cap < 64:
+                    cap = 64
+                elif cap > _MAX_BATCH:
+                    cap = _MAX_BATCH
                 vector = (hierarchy.vector_kernel_ok(cid)
-                          and self._vector_est >= _VECTOR_MIN_EST)
+                          and est >= _VECTOR_MIN_EST)
                 if vector:
                     take_array = phase.take_addresses_array
                     vec_classify = hierarchy.vector_classify
@@ -162,35 +164,21 @@ class Core:
                     # replays the scalar loop's exact left-to-right
                     # IEEE-754 add sequence.
                     fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
-                while done < chunk:
-                    if vector:
+                while done < chunk and used < cycle_budget:
+                    batch = chunk - done
+                    if batch > cap:
+                        batch = cap
+                    if vector and batch >= _VECTOR_MIN_BATCH:
                         # The vector kernel prices a batch before
-                        # touching any state, so it needs no worst-case
-                        # sizing: take a large batch, find the exact
-                        # budget cutoff, commit the executable prefix
-                        # and push the rest back as a zero-copy view.
-                        if used >= cycle_budget:
-                            break
-                        batch = chunk - done
-                        if batch > _MAX_BATCH:
-                            batch = _MAX_BATCH
-                        # Adapt to the observed per-budget throughput
-                        # so miss-heavy phases don't classify ~4096
-                        # addresses to execute a few hundred; the 25%
-                        # overdraw absorbs estimate drift.
-                        cap = self._vector_est + (self._vector_est >> 2)
-                        if cap < 64:
-                            cap = 64
-                        if batch > cap:
-                            batch = cap
-                        if batch < _KERNEL_MIN_BATCH:
-                            break
+                        # touching any state: find the exact budget
+                        # cutoff, commit the executable prefix and push
+                        # the rest back as a zero-copy view.
                         addr_arr = take_array(batch)
                         plan = vec_classify(cid, addr_arr)
                         if plan is None:
                             # Not provably uniform: return the batch
-                            # untouched and finish this chunk on the
-                            # worst-case-sized access_many batches.
+                            # untouched and finish this chunk on
+                            # access_many.
                             phase.push_back_array(addr_arr, 0)
                             vector = False
                             continue
@@ -200,7 +188,7 @@ class Core:
                         np.add.accumulate(fold[:batch + 1],
                                           out=fold[:batch + 1])
                         # Access i executes iff the total before it is
-                        # under budget — the scalar loops' exact rule.
+                        # under budget — the scalar loop's exact rule.
                         n_exec = int(np.searchsorted(
                             fold[:batch], cycle_budget, side="left"
                         ))
@@ -228,75 +216,71 @@ class Core:
                             memory.access_bulk(n_mem)
                         done += n_exec
                         if n_exec < batch:
-                            # Budget truncation: push the unexecuted
-                            # suffix back untouched (the end-of-run
-                            # bookkeeping refreshes the batch-size
-                            # estimate from the whole run).
                             phase.push_back_array(addr_arr, n_exec)
                             break
                         continue
-                    safe = int((cycle_budget - used) / worst)
-                    if safe < _KERNEL_MIN_BATCH:
-                        break
-                    batch = chunk - done
-                    if batch > safe:
-                        batch = safe
-                    if batch > _MAX_BATCH:
-                        batch = _MAX_BATCH
-                    levels = access_many(cid, take_addresses(batch))
-                    # Same left-to-right IEEE-754 add sequence as the
-                    # scalar loop, folded at C level.
-                    used = reduce(_fadd,
-                                  map(costs.__getitem__, levels),
-                                  used)
+                    addrs = take_addresses(batch)
+                    levels, used = access_many(cid, addrs, costs, used,
+                                               cycle_budget)
+                    n_exec = len(levels)
                     n_mem = levels.count(4)
                     if n_mem:
                         memory.access_bulk(n_mem)
-                    done += batch
-            while done < chunk and used < cycle_budget:
-                # An L1 hit (cpa cycles) is the cheapest access, so at
-                # most this many accesses can start inside the budget.
-                batch = int((cycle_budget - used) / cpa) + 1
-                rest = chunk - done
-                if batch > rest:
-                    batch = rest
-                if batch > _MAX_BATCH:
-                    batch = _MAX_BATCH
-                addrs = take_addresses(batch)
-                consumed = batch
-                if inline_mru:
-                    for i, addr in enumerate(addrs):
-                        if used >= cycle_budget:
-                            push_back(addrs, i)
-                            consumed = i
-                            break
-                        if l1_mru[addr & l1_mask] == addr:
-                            mru_hits += 1
-                            used += cpa
-                            continue
-                        level = hier_access(cid, addr)
-                        if level == 1:
-                            used += cpa
-                        elif level == 4:
-                            stall = mem_access(start_cycle + used) - l1_lat
-                            used += cpa + stall * inv_overlap
-                        else:
-                            used += cpa + extra[level] * inv_overlap
-                else:
-                    for i, addr in enumerate(addrs):
-                        if used >= cycle_budget:
-                            push_back(addrs, i)
-                            consumed = i
-                            break
-                        level = hier_access(cid, addr)
-                        if level == 1:
-                            used += cpa
-                        elif level == 4:
-                            stall = mem_access(start_cycle + used) - l1_lat
-                            used += cpa + stall * inv_overlap
-                        else:
-                            used += cpa + extra[level] * inv_overlap
-                done += consumed
+                    done += n_exec
+                    if n_exec < batch:
+                        push_back(addrs, n_exec)
+                        break
+            else:
+                # Every config bulk_kernel_ok denies (the reference
+                # walk, a quota core): one hierarchy access per address,
+                # priced as it returns.
+                while done < chunk and used < cycle_budget:
+                    # An L1 hit (cpa cycles) is the cheapest access, so
+                    # at most this many accesses can start inside the
+                    # budget.
+                    batch = int((cycle_budget - used) / cpa) + 1
+                    rest = chunk - done
+                    if batch > rest:
+                        batch = rest
+                    if batch > _MAX_BATCH:
+                        batch = _MAX_BATCH
+                    addrs = take_addresses(batch)
+                    consumed = batch
+                    if inline_mru:
+                        for i, addr in enumerate(addrs):
+                            if used >= cycle_budget:
+                                push_back(addrs, i)
+                                consumed = i
+                                break
+                            if l1_mru[addr & l1_mask] == addr:
+                                mru_hits += 1
+                                used += cpa
+                                continue
+                            level = hier_access(cid, addr)
+                            if level == 1:
+                                used += cpa
+                            elif level == 4:
+                                stall = (mem_access(start_cycle + used)
+                                         - l1_lat)
+                                used += cpa + stall * inv_overlap
+                            else:
+                                used += cpa + extra[level] * inv_overlap
+                    else:
+                        for i, addr in enumerate(addrs):
+                            if used >= cycle_budget:
+                                push_back(addrs, i)
+                                consumed = i
+                                break
+                            level = hier_access(cid, addr)
+                            if level == 1:
+                                used += cpa
+                            elif level == 4:
+                                stall = (mem_access(start_cycle + used)
+                                         - l1_lat)
+                                used += cpa + stall * inv_overlap
+                            else:
+                                used += cpa + extra[level] * inv_overlap
+                    done += consumed
             if mru_hits:
                 counters.l1_hits += mru_hits
                 l1_stats.hits += mru_hits
@@ -306,9 +290,9 @@ class Core:
 
         if used >= cycle_budget and total_accesses:
             # Budget-limited run: what it executed is what one budget
-            # buys — the estimate the vector kernel's batch sizing (and
-            # its stand-down threshold) needs, whichever path ran.
-            self._vector_est = total_accesses
+            # buys — the estimate the production path's batch sizing
+            # (and the vector kernel's stand-down) needs.
+            self._budget_est = total_accesses
         if used > cycle_budget:
             # The final access overshot; carry the excess into the next
             # call so charged cycles never exceed granted budgets.

@@ -222,11 +222,26 @@ class CacheHierarchy:
             self._prefetch(core, addr)
         return MEMORY
 
-    def access_many(self, core: int, addrs: Sequence[int]) -> list[int]:
-        """Route a whole address batch; return the per-address levels.
+    def access_many(
+        self,
+        core: int,
+        addrs: Sequence[int],
+        costs: Sequence[float],
+        used: float,
+        budget: float,
+    ) -> tuple[list[int], float]:
+        """Route an address batch under a cycle budget.
 
-        Semantically identical to ``[self.access(core, a) for a in
-        addrs]`` — and that is literally what runs when
+        Each access executes only if the running cycle total before it,
+        starting from ``used``, is under ``budget`` (the scalar loop's
+        rule), and then adds ``costs[level]`` for its serving level, in
+        order, with the same float adds as the scalar loop.  Returns the
+        serving levels of the executed prefix and the new running
+        total; the caller pushes the unexecuted suffix back.  With
+        ``budget=inf`` the whole batch executes.
+
+        Semantically identical to that priced loop over
+        :meth:`access` — and that is literally what runs when
         :meth:`bulk_kernel_ok` denies the production path (the
         reference walk's configs, or an L3 quota on this core).  On the
         production path all hot state is hoisted into locals, the
@@ -241,23 +256,19 @@ class CacheHierarchy:
         """
         if not self.bulk_kernel_ok(core):
             access = self.access
-            levels = [access(core, a) for a in addrs]
+            levels = []
+            for a in addrs:
+                if used >= budget:
+                    break
+                level = access(core, a)
+                levels.append(level)
+                used += costs[level]
             if self._debug_invariants:
                 self.check_owner_invariants()
-            return levels
+            return levels, used
         l1 = self.l1[core]
         l2 = self.l2[core]
         l3 = self.l3
-        if addrs:
-            # One conservative raise of the monotone fill bounds covers
-            # every inlined fill below (see SetAssociativeCache._max_tag).
-            mx = max(addrs)
-            if mx > l1._max_tag:
-                l1._max_tag = mx
-            if mx > l2._max_tag:
-                l2._max_tag = mx
-            if mx > l3._max_tag:
-                l3._max_tag = mx
         l1_tags = l1._tags
         l1_fill = l1._fill_counts
         l1_heads = l1._heads
@@ -300,9 +311,31 @@ class CacheHierarchy:
         # Batch-local deltas: hierarchy counters and cache stats.
         nh1 = nm1 = nh2 = nm2 = nh3 = nm3 = 0
         fl1 = ev1 = fl2 = ev2 = fl3 = ev3 = 0
-        i = 0
+        c1 = costs[1]
+        c2 = costs[2]
+        i = run = 0
         n = len(addrs)
-        while i < n:
+        while True:
+            if run:
+                # `run` L1 hits: the previous access's trailing repeats,
+                # plus its head when that was an L1 hit too.  Price them
+                # without a per-hit budget check; if the total ends at
+                # or over the budget, replay the adds to find the cut.
+                start = used
+                for _ in _repeat(None, run):
+                    used += c1
+                if used >= budget:
+                    used = start
+                    k = 0
+                    while k < run and used < budget:
+                        used += c1
+                        k += 1
+                    run = k
+                nh1 += run
+                lv_extend(_repeat(1, run))
+                run = 0
+            if i >= n or used >= budget:
+                break
             addr = addrs[i]
             j = i + 1
             # Trailing repeats are guaranteed L1 MRU hits; let the end
@@ -317,11 +350,12 @@ class CacheHierarchy:
             i = j
             si1 = addr & l1_mask
             if l1_mru[si1] == addr:
-                nh1 += run + 1
                 if run:
-                    lv_extend(_repeat(1, run + 1))
-                else:
-                    lv_append(1)
+                    run += 1
+                    continue
+                used += c1
+                nh1 += 1
+                lv_append(1)
                 continue
             if addr in l1_res:
                 # Non-MRU L1 hit: move to the logical tail (wrap-aware
@@ -347,11 +381,12 @@ class CacheHierarchy:
                         l1_tags[base1:tail] = l1_tags[base1 + 1:tail + 1]
                         l1_tags[tail] = addr
                 l1_mru[si1] = addr
-                nh1 += run + 1
                 if run:
-                    lv_extend(_repeat(1, run + 1))
-                else:
-                    lv_append(1)
+                    run += 1
+                    continue
+                used += c1
+                nh1 += 1
+                lv_append(1)
                 continue
             nm1 += 1
             # -- L2 probe (move-to-tail on hit) ------------------------
@@ -403,9 +438,7 @@ class CacheHierarchy:
                 l1_mru[si1] = addr
                 fl1 += 1
                 lv_append(2)
-                if run:
-                    nh1 += run
-                    lv_extend(_repeat(1, run))
+                used += c2
                 continue
             nm2 += 1
             # -- L3 probe ----------------------------------------------
@@ -574,9 +607,7 @@ class CacheHierarchy:
             l1_mru[si1] = addr
             fl1 += 1
             lv_append(level)
-            if run:
-                nh1 += run
-                lv_extend(_repeat(1, run))
+            used += costs[level]
         # -- flush batch-local deltas ----------------------------------
         counters_core.l1_hits += nh1
         counters_core.l1_misses += nm1
@@ -599,9 +630,20 @@ class CacheHierarchy:
         stats.misses += nm3
         stats.fills += fl3
         stats.evictions += ev3
+        # Raise the monotone fill bounds over the executed prefix (see
+        # SetAssociativeCache._max_tag); nothing above reads them.
+        k = len(levels)
+        if k:
+            mx = max(addrs) if k == n else max(addrs[:k])
+            if mx > l1._max_tag:
+                l1._max_tag = mx
+            if mx > l2._max_tag:
+                l2._max_tag = mx
+            if mx > l3._max_tag:
+                l3._max_tag = mx
         if self._debug_invariants:
             self.check_owner_invariants()
-        return levels
+        return levels, used
 
     def _prefetch(self, core: int, addr: int) -> None:
         """Next-line prefetch into the L3 on a demand memory access.

@@ -2,13 +2,11 @@
 
 The production path's scalar batched walk
 (:meth:`repro.arch.hierarchy.CacheHierarchy.access_many`) batches whole
-address chunks through inlined flat-array LRU walks, but still pays
-interpreted Python per address — and, because it mutates as it walks,
-the core must size its batches so even all-worst-case costs cannot
-cross the cycle budget, which caps them at a few hundred addresses and
-leaves little to amortise.
+address chunks through inlined flat-array LRU walks, pricing each
+access as it goes, but still pays interpreted Python per address.
 
-This module removes both costs by splitting the walk in two:
+This module removes that cost for the batches it can prove uniform, by
+splitting the walk in two:
 
 :func:`classify`
     proves, without touching any state, that the batch belongs to the

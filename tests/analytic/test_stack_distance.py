@@ -14,6 +14,56 @@ from repro.analytic.stack_distance import (
 from repro.errors import WorkloadError
 
 
+class _Fenwick:
+    """Binary indexed tree over ``n`` slots supporting prefix sums."""
+
+    def __init__(self, n: int):
+        self._n = n
+        self._tree = [0] * (n + 1)
+
+    def add(self, index: int, delta: int) -> None:
+        i = index + 1
+        while i <= self._n:
+            self._tree[i] += delta
+            i += i & (-i)
+
+    def prefix_sum(self, index: int) -> int:
+        """Sum of slots [0, index]."""
+        i = index + 1
+        total = 0
+        while i > 0:
+            total += self._tree[i]
+            i -= i & (-i)
+        return total
+
+    def range_sum(self, lo: int, hi: int) -> int:
+        """Sum of slots [lo, hi]."""
+        if lo > hi:
+            return 0
+        return self.prefix_sum(hi) - (self.prefix_sum(lo - 1) if lo else 0)
+
+
+def fenwick_reuse_distances(trace):
+    """The classic O(N log N) walk: previous uses in a dict, distinct
+    counts from a Fenwick tree over access timestamps."""
+    trace = list(trace)
+    tree = _Fenwick(len(trace))
+    last_use = {}
+    distances = []
+    for t, addr in enumerate(trace):
+        prev = last_use.get(addr)
+        if prev is None:
+            distances.append(COLD)
+        else:
+            # Distinct lines touched strictly between prev and t: each
+            # line's *latest* use in that window is marked in the tree.
+            distances.append(tree.range_sum(prev + 1, t - 1))
+            tree.add(prev, -1)
+        tree.add(t, 1)
+        last_use[addr] = t
+    return distances
+
+
 def naive_reuse_distances(trace):
     """Textbook O(N^2) reference: distinct lines since previous use."""
     out = []
@@ -61,6 +111,39 @@ class TestAgainstReference:
         assert reuse_distances(trace) == naive_reuse_distances(trace)
 
 
+class TestAgainstFenwick:
+    """The vectorised profile == the Fenwick walk it replaced."""
+
+    @given(st.lists(st.integers(0, 300), min_size=0, max_size=600))
+    @settings(max_examples=80, deadline=None)
+    def test_random_traces(self, trace):
+        assert reuse_distances(trace) == fenwick_reuse_distances(trace)
+
+    @given(st.lists(st.integers(-(2 ** 40), 2 ** 40), max_size=200))
+    @settings(max_examples=30, deadline=None)
+    def test_wide_addresses(self, trace):
+        assert reuse_distances(trace) == fenwick_reuse_distances(trace)
+
+    def test_empty_trace(self):
+        assert reuse_distances([]) == fenwick_reuse_distances([]) == []
+        assert reuse_distance_histogram([]) == ({}, 0)
+
+    @pytest.mark.parametrize("name", ["429.mcf", "470.lbm", "454.calculix",
+                                      "450.soplex", "453.povray"])
+    def test_spec_traces(self, name):
+        # Victim-shaped traces at every block width the merge visits
+        # (a length that is not a power of two exercises the padding).
+        import numpy as np
+
+        from repro.analytic.stack_distance import sample_trace
+        from repro.workloads import benchmark
+
+        phase = benchmark(name, 2048).phases[0]
+        pattern = phase.pattern.instantiate(np.random.default_rng(3), 0)
+        trace = sample_trace(pattern, 5_000)
+        assert reuse_distances(trace) == fenwick_reuse_distances(trace)
+
+
 class TestSampling:
     def test_sample_trace_length(self):
         import numpy as np
@@ -72,6 +155,18 @@ class TestSampling:
             np.random.default_rng(0), 0
         )
         assert len(sample_trace(pattern, 100)) == 100
+
+    def test_sample_trace_is_the_pattern_stream(self):
+        import numpy as np
+
+        from repro.analytic.stack_distance import sample_trace
+        from repro.workloads.patterns import ZipfSpec
+
+        spec = ZipfSpec(lines=64, alpha=1.1)
+        one = spec.instantiate(np.random.default_rng(5), 0)
+        two = spec.instantiate(np.random.default_rng(5), 0)
+        assert sample_trace(one, 300) == [two.next_address()
+                                          for _ in range(300)]
 
     def test_sample_trace_validates_length(self):
         from repro.analytic.stack_distance import sample_trace

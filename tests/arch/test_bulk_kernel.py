@@ -14,6 +14,7 @@ every config the production path does not model to the reference walk.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from contextlib import contextmanager
 
@@ -98,6 +99,17 @@ def snapshot(h: CacheHierarchy) -> dict:
     }
 
 
+#: Any per-level cost table prices an unbudgeted walk; index = level.
+UNIT_COSTS = (0.0, 1.0, 4.0, 12.0, 60.0)
+
+
+def walk(h: CacheHierarchy, core: int, addrs) -> list[int]:
+    """The serving levels of a whole batch: ``access_many`` unbudgeted."""
+    levels, _ = h.access_many(core, addrs, UNIT_COSTS, 0.0, math.inf)
+    assert len(levels) == len(addrs)
+    return levels
+
+
 def drive_and_compare(machine, batches):
     """Feed (core, addrs) batches to both paths; assert equality.
 
@@ -108,7 +120,7 @@ def drive_and_compare(machine, batches):
     """
     kern, ref = hierarchy_pair(machine)
     for core, addrs in batches:
-        got = kern.access_many(core, addrs)
+        got = walk(kern, core, addrs)
         want = [ref.access(core, a) for a in addrs]
         assert got == want
     assert snapshot(kern) == snapshot(ref)
@@ -179,13 +191,210 @@ class TestKernelDifferential:
         with tier_env():
             kern, ref = hierarchy_pair(machine)
             for core, addrs in batches:
-                assert kern.access_many(core, addrs) == [
+                assert walk(kern, core, addrs) == [
                     ref.access(core, a) for a in addrs
                 ]
         assert snapshot(kern) == snapshot(ref)
         # The scenario must actually exercise the interesting paths.
         assert any(c.back_invalidations > 0 for c in ref.counters)
         assert any(c.lines_stolen > 0 for c in ref.counters)
+
+
+def priced_budget(oracle, core, addrs, costs, used, kind, pick):
+    """A budget placing ``access_many``'s cutoff on a chosen position.
+
+    Walks the prefix the budget lets execute on ``oracle`` (a third
+    reference hierarchy in lockstep with the pair under test) to learn
+    its levels, and returns ``(budget, levels, total)``: the cutoff
+    the batch must honour, the executed prefix's levels and the
+    running total after it.  ``kind`` picks the position: ``"mid"``
+    cuts inside a run of repeats, ``"head"`` on the first access of a
+    run (``pick`` chooses among the candidates; both set the budget
+    exactly to the total the cut access starts at, the ``at or over``
+    edge of the rule), ``"first"`` lands between ``used`` and the first
+    access's cost (exactly one access executes), ``"none"`` at
+    ``used`` itself (nothing executes) and ``"inf"`` never cuts.
+    """
+    n = len(addrs)
+    cut = n
+    if kind in ("mid", "head"):
+        spots = [p for p in range(1, n)
+                 if (addrs[p] == addrs[p - 1]) == (kind == "mid")]
+        if spots:
+            cut = spots[pick % len(spots)]
+    elif kind == "first":
+        cut = 1
+    elif kind == "none":
+        cut = 0
+    levels = [oracle.access(core, a) for a in addrs[:cut]]
+    total = used
+    for level in levels:
+        total += costs[level]
+    if kind == "first":
+        budget = used + costs[levels[0]] / 2
+    elif cut == n:
+        budget = math.inf
+    else:
+        budget = total
+    return budget, levels, total
+
+
+#: Per-level cost tables: level 1 is the cheapest, as on the core.
+COSTS = st.tuples(
+    st.floats(0.05, 3.0),
+    st.floats(3.0, 20.0),
+    st.floats(10.0, 60.0),
+    st.floats(40.0, 400.0),
+).map(lambda c: (0.0, *c))
+
+#: Where each priced batch's budget lands (see priced_budget).
+CUTS = st.lists(
+    st.tuples(st.sampled_from(["mid", "head", "first", "none", "inf"]),
+              st.integers(0, 1000), st.floats(0.0, 5000.0)),
+    min_size=20, max_size=20,
+)
+
+
+class TestPricedBatches:
+    """A priced ``access_many`` stops where the scalar loop would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=BATCHES, costs=COSTS, cuts=CUTS)
+    def test_budget_cutoff_matches_reference(self, batches, costs, cuts):
+        with tier_env():
+            kern, ref = hierarchy_pair(tiny_machine())
+            with tier_env(fast="0"):
+                oracle = CacheHierarchy(tiny_machine(), seed=11)
+            for (core, addrs), (kind, pick, used) in zip(batches, cuts):
+                budget, want, total = priced_budget(
+                    oracle, core, addrs, costs, used, kind, pick
+                )
+                got = kern.access_many(core, addrs, costs, used, budget)
+                assert ref.access_many(core, addrs, costs, used,
+                                       budget) == got
+                assert got == (want, total)
+                assert snapshot(kern) == snapshot(ref)
+        assert snapshot(ref) == snapshot(oracle)
+
+    @pytest.mark.parametrize("kind", ["mid", "head", "first", "none"])
+    def test_each_cut_kind_truncates(self, kind):
+        # A cold repeat-heavy batch, each line accessed three times.
+        addrs = [a for a in range(40) for _ in range(3)]
+        with tier_env():
+            kern, ref = hierarchy_pair(tiny_machine())
+            with tier_env(fast="0"):
+                oracle = CacheHierarchy(tiny_machine(), seed=11)
+            budget, want, total = priced_budget(
+                oracle, 0, addrs, UNIT_COSTS, 10.0, kind, 17
+            )
+            for h in (kern, ref):
+                levels, used = h.access_many(0, addrs, UNIT_COSTS, 10.0,
+                                             budget)
+                assert (levels, used) == (want, total)
+                assert len(levels) == {"mid": 26, "head": 54,
+                                       "first": 1, "none": 0}[kind]
+            assert snapshot(kern) == snapshot(ref) == snapshot(oracle)
+
+
+def resident_victim(seed: int = 0):
+    """A namd-like repeat stream phase, then a Zipf phase, cycling."""
+    from repro.sim.process import AppClass, SimProcess
+    from repro.workloads.base import PhaseSpec, WorkloadSpec
+    from repro.workloads.patterns import SequentialStreamSpec, ZipfSpec
+
+    spec = WorkloadSpec(
+        name="namd-zipf",
+        phases=(
+            PhaseSpec(pattern=SequentialStreamSpec(lines=48,
+                                                   line_repeats=8),
+                      duration_instructions=30_000.0, mem_ratio=0.22,
+                      base_cpi=0.4, overlap=2.5),
+            PhaseSpec(pattern=ZipfSpec(lines=160, alpha=1.1),
+                      duration_instructions=20_000.0, mem_ratio=0.3,
+                      base_cpi=0.5, overlap=1.5),
+        ),
+        total_instructions=1e9,
+    )
+    proc = SimProcess(spec, 0, AppClass.LATENCY_SENSITIVE, seed=seed)
+    proc.launch()
+    return proc
+
+
+def streamer():
+    """An lbm-like co-runner on core 1, sweeping past the tiny L3."""
+    from repro.sim.process import AppClass, SimProcess
+    from repro.workloads.base import PhaseSpec, WorkloadSpec
+    from repro.workloads.patterns import SequentialStreamSpec
+
+    spec = WorkloadSpec(
+        name="sweep",
+        phases=(PhaseSpec(pattern=SequentialStreamSpec(lines=400,
+                                                       line_repeats=4),
+                          duration_instructions=1e9, mem_ratio=0.4,
+                          base_cpi=0.4, overlap=3.5),),
+        total_instructions=1e9,
+    )
+    proc = SimProcess(spec, 1, AppClass.BATCH, seed=1)
+    proc.launch()
+    return proc
+
+
+#: Core 0's budget sequence: full periods, slices, and budgets of a
+#: few cycles that land below the stall debt a memory access carries.
+RUN_BUDGETS = [40_000.0, 5_000.0, 0.5, 2.0, 1_234.5, 1.0, 40_000.0,
+               3.25, 17.0, 250.0, 0.75, 9_999.0, 40_000.0, 6.0,
+               40_000.0, 2_500.0, 1.5, 40_000.0]
+
+
+class TestCoreRunDifferential:
+    """``Core.run`` on the production path == on the reference walk."""
+
+    @pytest.mark.parametrize("vector", ["0", "1"])
+    def test_budget_sequence_matches_reference(self, vector):
+        from repro.arch.chip import MulticoreChip
+
+        calls = [0]
+        with tier_env(vector=vector):
+            prod = MulticoreChip(MachineConfig.tiny(), seed=5)
+            assert prod.hierarchy.bulk_kernel_ok(0)
+            original = prod.hierarchy.access
+
+            def counted(core, addr):
+                calls[0] += 1
+                return original(core, addr)
+
+            prod.hierarchy.access = counted
+            with tier_env(fast="0"):
+                ref = MulticoreChip(MachineConfig.tiny(), seed=5)
+            runs = [(chip, resident_victim(), streamer())
+                    for chip in (prod, ref)]
+            below_debt = 0
+            for step, budget in enumerate(RUN_BUDGETS):
+                if ref.core(0)._stall_debt > budget:
+                    below_debt += 1
+                got = []
+                for chip, victim, sweep in runs:
+                    got.append((chip.core(0).run(victim, budget),
+                                chip.core(1).run(sweep, 3_000.0)))
+                    if step % 4 == 3:
+                        chip.memory.end_period(40_000)
+                assert got[0] == got[1]
+            for core_id in (0, 1):
+                a, b = prod.core(core_id), ref.core(core_id)
+                assert a.cycles_executed == b.cycles_executed
+                assert a.instructions_retired == b.instructions_retired
+                assert a.accesses_issued == b.accesses_issued
+                assert a._stall_debt == b._stall_debt
+            assert prod.memory.accesses == ref.memory.accesses
+            assert prod.memory.total_queue_cycles == \
+                ref.memory.total_queue_cycles
+            assert snapshot(prod.hierarchy) == snapshot(ref.hierarchy)
+        # The sequence must reach what it is meant to: budgets under a
+        # carried debt, a non-zero queue delay, and no scalar access
+        # anywhere on the production path.
+        assert below_debt >= 2
+        assert prod.memory.total_queue_cycles > 0.0
+        assert calls[0] == 0
 
 
 def drive_vector(machine, batches):
@@ -212,7 +421,7 @@ def drive_vector(machine, batches):
             got = plan.levels.tolist()
             committed += 1
         else:
-            got = kern.access_many(core, addrs)
+            got = walk(kern, core, addrs)
             fallback += 1
         want = [ref.access(core, a) for a in addrs]
         assert got == want
@@ -326,7 +535,7 @@ class TestVectorDifferential:
         with tier_env(vector="1"):
             kern, ref = hierarchy_pair(tiny_machine())
             warm = list(range(64))
-            assert kern.access_many(0, warm) == [
+            assert walk(kern, 0, warm) == [
                 ref.access(0, a) for a in warm
             ]
             # 0..3 are L3 hits in sets 0..3 (48..63 still sit in
@@ -348,7 +557,7 @@ class TestVectorDifferential:
         with tier_env(vector="1"):
             kern, ref = hierarchy_pair(tiny_machine())
             warm = list(range(64))
-            assert kern.access_many(0, warm) == [
+            assert walk(kern, 0, warm) == [
                 ref.access(0, a) for a in warm
             ]
             # Line 0 is an L3 hit in set 0; 208 is a cold miss into
@@ -360,7 +569,7 @@ class TestVectorDifferential:
             before = snapshot(kern)
             assert not kern.vector_commit(0, plan, len(batch))
             assert snapshot(kern) == before
-            assert kern.access_many(0, batch) == [
+            assert walk(kern, 0, batch) == [
                 ref.access(0, a) for a in batch
             ]
             assert snapshot(kern) == snapshot(ref)
@@ -423,7 +632,7 @@ class TestVectorDifferential:
             before = snapshot(kern)
             assert not kern.vector_commit(0, plan, len(addrs))
             assert snapshot(kern) == before
-            assert kern.access_many(0, addrs) == [
+            assert walk(kern, 0, addrs) == [
                 ref.access(0, a) for a in addrs
             ]
             assert snapshot(kern) == snapshot(ref)
@@ -463,8 +672,8 @@ class TestFallbackPredicate:
         stream = [(a * 7) % 64 for a in range(300)]
         for core, addrs in ((0, stream[:150]), (1, stream[150:]),
                             (0, stream[::3])):
-            assert h.access_many(core, addrs) == \
-                ref.access_many(core, addrs)
+            assert walk(h, core, addrs) == \
+                walk(ref, core, addrs)
         assert snapshot(h) == snapshot(ref)
 
     def test_quota_denies_kernel_per_core(self, monkeypatch):
@@ -526,7 +735,7 @@ class TestFallbackPredicate:
         kern.set_store_ratio(0, 0.3)
         ref.set_store_ratio(0, 0.3)
         stream = [(a * 5) % 48 for a in range(300)]
-        assert kern.access_many(0, stream) == [
+        assert walk(kern, 0, stream) == [
             ref.access(0, a) for a in stream
         ]
         assert snapshot(kern) == snapshot(ref)
@@ -626,7 +835,7 @@ class TestEndToEndTiers:
     """Full engine runs must be identical on every execution path."""
 
     @staticmethod
-    def _run(metrics=None):
+    def _run(metrics=None, victim="429.mcf"):
         from repro.caer.runtime import caer_factory
         from repro.experiments.campaign import resolve_caer_config
         from repro.sim import run_colocated
@@ -634,7 +843,7 @@ class TestEndToEndTiers:
 
         machine = MachineConfig.tiny()
         l3 = machine.l3.capacity_lines
-        ls = benchmark("429.mcf", l3, length=0.02)
+        ls = benchmark(victim, l3, length=0.02)
         batch = benchmark("470.lbm", l3, length=0.02)
         return run_colocated(
             ls, batch, machine,
@@ -642,7 +851,7 @@ class TestEndToEndTiers:
             seed=2, metrics=metrics,
         )
 
-    def test_run_result_identical_across_tiers(self):
+    def _check_across_tiers(self, victim):
         results = {}
         for name, env in [
             ("generic", ("0", "0")),
@@ -650,9 +859,17 @@ class TestEndToEndTiers:
             ("vector", ("1", "1")),
         ]:
             with tier_env(*env):
-                results[name] = self._run()
+                results[name] = self._run(victim=victim)
         assert results["kernel"] == results["generic"]
         assert results["vector"] == results["generic"]
+
+    def test_run_result_identical_across_tiers(self):
+        self._check_across_tiers("429.mcf")
+
+    def test_resident_victim_identical_across_tiers(self):
+        # namd's repeat runs are cheap L1 hits, so its batches end on
+        # budget cutoffs, often inside a run.
+        self._check_across_tiers("444.namd")
 
     def test_traced_run_identical_on_vector_tier(self, tmp_path):
         # Attaching metrics (and so the obs plumbing) must not perturb

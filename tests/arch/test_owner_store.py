@@ -34,6 +34,7 @@ from tests.arch.test_bulk_kernel import (
     snapshot,
     tier_env,
     tiny_machine,
+    walk,
 )
 
 
@@ -48,8 +49,8 @@ def drive_pair_kernel(machine, batches):
     assert arr._owner_arrays
     assert not ref._owner_arrays
     for core, addrs in batches:
-        assert arr.access_many(core, addrs) == \
-            ref.access_many(core, addrs)
+        assert walk(arr, core, addrs) == \
+            walk(ref, core, addrs)
     assert snapshot(arr) == snapshot(ref)
     arr.check_owner_invariants()
     ref.check_owner_invariants()
@@ -71,7 +72,7 @@ def drive_pair_vector(machine, batches):
             ):
                 levels.append(plan.levels.tolist())
             else:
-                levels.append(h.access_many(core, addrs))
+                levels.append(walk(h, core, addrs))
         assert levels[0] == levels[1]
     assert snapshot(arr) == snapshot(ref)
     arr.check_owner_invariants()
@@ -108,8 +109,8 @@ class TestOwnerDifferential:
         for h in (arr, ref):
             h.set_l3_quota(0, 0.25)
         for core, addrs in batches:
-            assert arr.access_many(core, addrs) == \
-                ref.access_many(core, addrs)
+            assert walk(arr, core, addrs) == \
+                walk(ref, core, addrs)
         assert snapshot(arr) == snapshot(ref)
         arr.check_owner_invariants()
 
@@ -150,8 +151,8 @@ class TestOwnerEdgeCases:
         sweep = [(8 + a) * 16 for a in range(16)]
         for h in (arr, ref):
             for _ in range(6):
-                h.access_many(0, hot * 3)
-                h.access_many(1, sweep)
+                walk(h, 0, hot * 3)
+                walk(h, 1, sweep)
         assert snapshot(arr) == snapshot(ref)
         assert any(c.back_invalidations > 0 for c in arr.counters)
         assert any(c.lines_stolen > 0 for c in arr.counters)
@@ -159,8 +160,8 @@ class TestOwnerEdgeCases:
 
     def test_flush_clears_ownership_and_occupancy(self):
         arr, _ = owner_pair(tiny_machine())
-        arr.access_many(0, list(range(64)))
-        arr.access_many(1, list(range(32)))
+        walk(arr, 0, list(range(64)))
+        walk(arr, 1, list(range(32)))
         assert arr.l3_owner_sets()
         assert any(arr._occupancy)
         arr.flush()
@@ -169,7 +170,7 @@ class TestOwnerEdgeCases:
         assert not any(arr.l3._owner_tags)
         arr.check_owner_invariants()
         # The store keeps working after the reset.
-        arr.access_many(0, list(range(16)))
+        walk(arr, 0, list(range(16)))
         assert arr._occupancy[0] == 16
         arr.check_owner_invariants()
 
@@ -180,7 +181,7 @@ class TestOwnerEdgeCases:
             )
         assert not h._owner_arrays
         assert h.l3._owner_tags is None
-        h.access_many(0, list(range(16)))
+        walk(h, 0, list(range(16)))
         # The reference dict carries the records instead.
         assert h._l3_owners
         h.check_owner_invariants()
@@ -190,7 +191,7 @@ class TestOwnerEdgeCases:
             h = CacheHierarchy(tiny_machine(), seed=3)
         assert not h._owner_arrays
         assert h.l3._owner_tags is None
-        h.access_many(0, list(range(16)))
+        walk(h, 0, list(range(16)))
         assert h._l3_owners
         h.check_owner_invariants()
 
@@ -283,8 +284,8 @@ class TestInvariantChecker:
 
     def _hier(self):
         arr, _ = owner_pair(tiny_machine())
-        arr.access_many(0, list(range(48)))
-        arr.access_many(1, list(range(24)))
+        walk(arr, 0, list(range(48)))
+        walk(arr, 1, list(range(24)))
         arr.check_owner_invariants()
         return arr
 
@@ -309,7 +310,7 @@ class TestInvariantChecker:
     def test_dict_store_checked_too(self):
         with tier_env(fast="0"):
             h = CacheHierarchy(tiny_machine(), seed=7)
-        h.access_many(0, list(range(48)))
+        walk(h, 0, list(range(48)))
         h.check_owner_invariants()
         addr = next(iter(h._l3_owners))
         h._l3_owners[addr].add(1)
