@@ -10,7 +10,7 @@ engine whose progress is gated by memory stalls:
   ``overlap`` factor (memory-level parallelism: streaming codes overlap
   several outstanding misses, pointer chasers cannot).
 
-The loop advances one *memory access* at a time — between accesses the
+The model advances one *memory access* at a time — between accesses the
 workload retires ``1 / mem_ratio`` instructions — which is what makes a
 whole-benchmark simulation tractable in Python while still reproducing
 the paper's Figure 3 phenomenon: periods with many LLC misses are
@@ -65,7 +65,7 @@ class Core:
         self.accesses_issued = 0
         lat = machine.latencies
         # Extra stall beyond an L1 hit, indexed by serving level (1..3);
-        # level 4 is priced dynamically by the memory channel.
+        # level 4 is priced per run() by the memory channel.
         self._extra_stall = (0.0, 0.0, float(lat.l2 - lat.l1),
                              float(lat.l3 - lat.l1))
         self._l1_latency = float(lat.l1)
@@ -74,16 +74,23 @@ class Core:
         # accounting never exceeds the sum of granted budgets.
         self._stall_debt = 0.0
         # Running estimate of how many accesses one cycle budget
-        # executes, sizing the production path's batches (see run()).
+        # executes, sizing the batches (see run()).
         self._budget_est = 512
 
-    def run(self, process: "object", cycle_budget: float,
-            start_cycle: float = 0.0) -> float:
+    def run(self, process: "object", cycle_budget: float) -> float:
         """Execute ``process`` for up to ``cycle_budget`` cycles.
 
         ``process`` is a :class:`repro.sim.process.SimProcess` (duck
         typed to avoid a package cycle): it exposes ``finished``,
         ``current_phase()`` and ``account(accesses)``.
+
+        Every configuration runs the same batch loop: address batches
+        go through the vector kernel when
+        :meth:`~repro.arch.hierarchy.CacheHierarchy.vector_kernel_ok`
+        allows it, and through
+        :meth:`~repro.arch.hierarchy.CacheHierarchy.access_many`
+        otherwise — the production path's inlined walk, or the priced
+        reference walk on a machine it does not model.
 
         Returns the cycles actually consumed — less than the budget only
         if the process ran to completion inside it.
@@ -101,24 +108,11 @@ class Core:
         total_accesses = 0
         total_instructions = 0.0
         hierarchy = self.hierarchy
-        hier_access = hierarchy.access
         access_many = hierarchy.access_many
         memory = self.memory
-        mem_access = memory.access
         extra = self._extra_stall
         l1_lat = self._l1_latency
         cid = self.core_id
-        # A flat (LRU, fast-lane) L1 lets the scalar loop inline the
-        # L1 MRU-hit check: re-touching the MRU line is an LRU no-op.
-        # Hit counts are accumulated locally and flushed per chunk.
-        # With writebacks modelled every access must run the store
-        # accumulator inside access(), so the reference loop runs.
-        l1 = hierarchy.l1[cid]
-        l1_mru = l1._mru if l1._flat else None
-        l1_mask = l1._set_mask
-        l1_stats = l1.stats
-        counters = hierarchy.counters[cid]
-        inline_mru = l1._flat and not hierarchy._writebacks_enabled
 
         while used < cycle_budget and not process.finished:
             phase = process.current_phase()
@@ -130,168 +124,110 @@ class Core:
             inv_overlap = 1.0 / phase.overlap
             chunk = process.accesses_left_in_phase()
             done = 0
-            mru_hits = 0
-            if hierarchy.bulk_kernel_ok(cid):
-                # Production path: batches through the vector kernel or
-                # access_many, both priced from the per-level costs
-                # below.  These are the exact expressions the scalar
-                # loop evaluates per access (the memory channel prices
-                # every access in a period identically), and both paths
-                # accumulate them with the scalar loop's left-to-right
-                # float adds and stop at its budget cutoff, so `used` is
-                # bit-identical.  A batch is sized from what one budget
-                # executed last time (plus 25% for drift); whatever the
-                # cutoff leaves unexecuted is pushed back untouched.
-                c2 = cpa + extra[2] * inv_overlap
-                c3 = cpa + extra[3] * inv_overlap
-                mem_unit = memory.latency + memory.current_queue_delay
-                c4 = cpa + (mem_unit - l1_lat) * inv_overlap
-                costs = (0.0, cpa, c2, c3, c4)
-                est = self._budget_est
-                cap = est + (est >> 2)
-                if cap < 64:
-                    cap = 64
-                elif cap > _MAX_BATCH:
-                    cap = _MAX_BATCH
-                vector = (hierarchy.vector_kernel_ok(cid)
-                          and est >= _VECTOR_MIN_EST)
-                if vector:
-                    take_array = phase.take_addresses_array
-                    vec_classify = hierarchy.vector_classify
-                    vec_commit = hierarchy.vector_commit
-                    costs_np = np.array(costs, dtype=np.float64)
-                    # The running total seeds slot 0 so the accumulate
-                    # replays the scalar loop's exact left-to-right
-                    # IEEE-754 add sequence.
-                    fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
-                while done < chunk and used < cycle_budget:
-                    batch = chunk - done
-                    if batch > cap:
-                        batch = cap
-                    if vector and batch >= _VECTOR_MIN_BATCH:
-                        # The vector kernel prices a batch before
-                        # touching any state: find the exact budget
-                        # cutoff, commit the executable prefix and push
-                        # the rest back as a zero-copy view.
-                        addr_arr = take_array(batch)
-                        plan = vec_classify(cid, addr_arr)
-                        if plan is None:
-                            # Not provably uniform: return the batch
-                            # untouched and finish this chunk on
-                            # access_many.
-                            phase.push_back_array(addr_arr, 0)
-                            vector = False
-                            continue
-                        fold[0] = used
-                        np.take(costs_np, plan.levels,
-                                out=fold[1:batch + 1])
-                        np.add.accumulate(fold[:batch + 1],
-                                          out=fold[:batch + 1])
-                        # Access i executes iff the total before it is
-                        # under budget — the scalar loop's exact rule.
-                        n_exec = int(np.searchsorted(
-                            fold[:batch], cycle_budget, side="left"
-                        ))
-                        if not vec_commit(cid, plan, n_exec):
-                            # Structural bail (overloaded L3 set, a
-                            # hit sharing its set, an own-core
-                            # back-invalidation): nothing was mutated
-                            # and the pricing may be wrong, so hand
-                            # the whole batch to access_many.
-                            phase.push_back_array(addr_arr, 0)
-                            vector = False
-                            continue
-                        if plan.hit is None:
-                            # All-miss plan: every executed collapsed
-                            # access went to memory.
-                            n_mem = int(np.searchsorted(
-                                plan.keep_raw, n_exec, side="left"
-                            ))
-                        else:
-                            n_mem = int(np.count_nonzero(
-                                plan.levels[:n_exec] == 4
-                            ))
-                        used = float(fold[n_exec])
-                        if n_mem:
-                            memory.access_bulk(n_mem)
-                        done += n_exec
-                        if n_exec < batch:
-                            phase.push_back_array(addr_arr, n_exec)
-                            break
+            # Batches are priced from the per-level costs below: an L1
+            # hit costs the compute cycles, a deeper level adds its
+            # extra stall over the overlap, and the memory channel
+            # prices every access in a period identically.  Both paths
+            # accumulate them with left-to-right float adds and stop at
+            # the first access that starts at or over the budget.  A
+            # batch is sized from what one budget executed last time
+            # (plus 25% for drift); whatever the cutoff leaves
+            # unexecuted is pushed back untouched.
+            c2 = cpa + extra[2] * inv_overlap
+            c3 = cpa + extra[3] * inv_overlap
+            mem_unit = memory.latency + memory.current_queue_delay
+            c4 = cpa + (mem_unit - l1_lat) * inv_overlap
+            costs = (0.0, cpa, c2, c3, c4)
+            est = self._budget_est
+            cap = est + (est >> 2)
+            if cap < 64:
+                cap = 64
+            elif cap > _MAX_BATCH:
+                cap = _MAX_BATCH
+            vector = (hierarchy.vector_kernel_ok(cid)
+                      and est >= _VECTOR_MIN_EST)
+            if vector:
+                take_array = phase.take_addresses_array
+                vec_classify = hierarchy.vector_classify
+                vec_commit = hierarchy.vector_commit
+                costs_np = np.array(costs, dtype=np.float64)
+                # The running total seeds slot 0 so the accumulate
+                # replays the walk's exact left-to-right IEEE-754 add
+                # sequence.
+                fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
+            while done < chunk and used < cycle_budget:
+                batch = chunk - done
+                if batch > cap:
+                    batch = cap
+                if vector and batch >= _VECTOR_MIN_BATCH:
+                    # The vector kernel prices a batch before touching
+                    # any state: find the exact budget cutoff, commit
+                    # the executable prefix and push the rest back as a
+                    # zero-copy view.
+                    addr_arr = take_array(batch)
+                    plan = vec_classify(cid, addr_arr)
+                    if plan is None:
+                        # Not provably uniform: return the batch
+                        # untouched and finish this chunk on
+                        # access_many.
+                        phase.push_back_array(addr_arr, 0)
+                        vector = False
                         continue
-                    addrs = take_addresses(batch)
-                    levels, used = access_many(cid, addrs, costs, used,
-                                               cycle_budget)
-                    n_exec = len(levels)
-                    n_mem = levels.count(4)
+                    fold[0] = used
+                    np.take(costs_np, plan.levels, out=fold[1:batch + 1])
+                    np.add.accumulate(fold[:batch + 1],
+                                      out=fold[:batch + 1])
+                    # Access i executes iff the total before it is
+                    # under budget — access_many's exact rule.
+                    n_exec = int(np.searchsorted(
+                        fold[:batch], cycle_budget, side="left"
+                    ))
+                    if not vec_commit(cid, plan, n_exec):
+                        # Structural bail (overloaded L3 set, a hit
+                        # sharing its set, an own-core
+                        # back-invalidation): nothing was mutated and
+                        # the pricing may be wrong, so hand the whole
+                        # batch to access_many.
+                        phase.push_back_array(addr_arr, 0)
+                        vector = False
+                        continue
+                    if plan.hit is None:
+                        # All-miss plan: every executed collapsed
+                        # access went to memory.
+                        n_mem = int(np.searchsorted(
+                            plan.keep_raw, n_exec, side="left"
+                        ))
+                    else:
+                        n_mem = int(np.count_nonzero(
+                            plan.levels[:n_exec] == 4
+                        ))
+                    used = float(fold[n_exec])
                     if n_mem:
                         memory.access_bulk(n_mem)
                     done += n_exec
                     if n_exec < batch:
-                        push_back(addrs, n_exec)
+                        phase.push_back_array(addr_arr, n_exec)
                         break
-            else:
-                # Every config bulk_kernel_ok denies (the reference
-                # walk, a quota core): one hierarchy access per address,
-                # priced as it returns.
-                while done < chunk and used < cycle_budget:
-                    # An L1 hit (cpa cycles) is the cheapest access, so
-                    # at most this many accesses can start inside the
-                    # budget.
-                    batch = int((cycle_budget - used) / cpa) + 1
-                    rest = chunk - done
-                    if batch > rest:
-                        batch = rest
-                    if batch > _MAX_BATCH:
-                        batch = _MAX_BATCH
-                    addrs = take_addresses(batch)
-                    consumed = batch
-                    if inline_mru:
-                        for i, addr in enumerate(addrs):
-                            if used >= cycle_budget:
-                                push_back(addrs, i)
-                                consumed = i
-                                break
-                            if l1_mru[addr & l1_mask] == addr:
-                                mru_hits += 1
-                                used += cpa
-                                continue
-                            level = hier_access(cid, addr)
-                            if level == 1:
-                                used += cpa
-                            elif level == 4:
-                                stall = (mem_access(start_cycle + used)
-                                         - l1_lat)
-                                used += cpa + stall * inv_overlap
-                            else:
-                                used += cpa + extra[level] * inv_overlap
-                    else:
-                        for i, addr in enumerate(addrs):
-                            if used >= cycle_budget:
-                                push_back(addrs, i)
-                                consumed = i
-                                break
-                            level = hier_access(cid, addr)
-                            if level == 1:
-                                used += cpa
-                            elif level == 4:
-                                stall = (mem_access(start_cycle + used)
-                                         - l1_lat)
-                                used += cpa + stall * inv_overlap
-                            else:
-                                used += cpa + extra[level] * inv_overlap
-                    done += consumed
-            if mru_hits:
-                counters.l1_hits += mru_hits
-                l1_stats.hits += mru_hits
+                    continue
+                addrs = take_addresses(batch)
+                levels, used = access_many(cid, addrs, costs, used,
+                                           cycle_budget)
+                n_exec = len(levels)
+                n_mem = levels.count(4)
+                if n_mem:
+                    memory.access_bulk(n_mem)
+                done += n_exec
+                if n_exec < batch:
+                    push_back(addrs, n_exec)
+                    break
             total_accesses += done
             total_instructions += done * ipa
             process.account(done)
 
         if used >= cycle_budget and total_accesses:
             # Budget-limited run: what it executed is what one budget
-            # buys — the estimate the production path's batch sizing
-            # (and the vector kernel's stand-down) needs.
+            # buys — the estimate the batch sizing (and the vector
+            # kernel's stand-down) needs.
             self._budget_est = total_accesses
         if used > cycle_budget:
             # The final access overshot; carry the excess into the next

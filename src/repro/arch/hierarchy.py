@@ -10,15 +10,17 @@ eviction also *back-invalidates* the victim line from its owner's
 private L1/L2, amplifying cross-core interference just as on the real
 i7 920.
 
-:class:`CacheHierarchy` exposes a single hot-path verb,
-:meth:`CacheHierarchy.access`, returning the level that served the
-access (1, 2, 3, or 4 = main memory) so the core model can charge the
-right latency, and per-core cumulative counters that the PMU layer
-exposes to CAER.
+:class:`CacheHierarchy` exposes a hot-path verb,
+:meth:`CacheHierarchy.access_many`, returning the levels that served an
+address batch (1, 2, 3, or 4 = main memory) so the core model can
+charge the right latency, its one-address form
+:meth:`CacheHierarchy.access`, and per-core cumulative counters that
+the PMU layer exposes to CAER.
 """
 
 from __future__ import annotations
 
+import math as _math
 from itertools import repeat as _repeat
 from typing import Sequence
 
@@ -34,6 +36,9 @@ from .vector_kernel import commit as _vector_commit
 
 #: Access outcome levels returned by :meth:`CacheHierarchy.access`.
 L1_HIT, L2_HIT, L3_HIT, MEMORY = 1, 2, 3, 4
+
+#: The cost table of an unbudgeted one-address walk (index = level).
+_UNPRICED = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class HierarchyCounters:
@@ -144,14 +149,16 @@ class CacheHierarchy:
         # bitmask column on the flat L3 (bit c = core c owns the line
         # in that slot), which the batched walks gather and scatter
         # with index math.  It needs flat storage (the column is
-        # slot-indexed), an inclusive L3 (the only configuration the
-        # production path models), and a core count within an int64's
-        # non-sign bits.  Every other machine keeps the reference dict
-        # and, with it, the reference walk (see bulk_kernel_ok).
-        self._owner_arrays = (
-            self.l3._flat and machine.l3_inclusive and n <= 63
-        )
-        if self._owner_arrays:
+        # slot-indexed), an inclusive L3 and a core count within an
+        # int64's non-sign bits, and the production path models neither
+        # the store accumulator (writebacks) nor the next-line
+        # prefetcher.  The column exists exactly when the production
+        # path serves this hierarchy; every other machine keeps the
+        # reference dict and, with it, the reference walk (see
+        # bulk_kernel_ok).
+        if (self.l3._flat and machine.l3_inclusive and n <= 63
+                and not machine.prefetch_degree
+                and not machine.model_writebacks):
             self.l3.attach_owner_column()
         # Opt-in self-checks after every batch (differential suite).
         self._debug_invariants = debug_invariants_enabled()
@@ -171,7 +178,14 @@ class CacheHierarchy:
 
         Fills every level on the way back (write-allocate, no writeback
         modelling: the paper's contention signal is read-miss traffic).
+
+        This is the reference walk.  On the production path (the L3
+        owner column is attached) it is a one-address
+        :meth:`access_many`, so there is no second walk to keep in step.
         """
+        if self.l3._owner_tags is not None:
+            return self.access_many(core, (addr,), _UNPRICED, 0.0,
+                                    _math.inf)[0][0]
         counters = self.counters[core]
         if self._writebacks_enabled:
             acc = self._store_accumulator[core] + self._store_ratio[core]
@@ -190,29 +204,10 @@ class CacheHierarchy:
         counters.l2_misses += 1
         if self._l3_probe(addr):
             counters.l3_hits += 1
-            if self._owner_arrays:
-                # The probe just made the line MRU, so its slot is the
-                # logical tail of its set — O(1) index math, no lookup.
-                l3 = self.l3
-                assoc = l3._assoc
-                si = addr & l3._set_mask
-                fill = l3._fill_counts[si]
-                if fill < assoc:
-                    slot = si * assoc + fill - 1
-                else:
-                    head = l3._heads[si]
-                    slot = si * assoc + (head - 1 if head else assoc - 1)
-                ot = l3._owner_tags
-                bit = 1 << core
-                ob = ot[slot]
-                if not ob & bit:
-                    ot[slot] = ob | bit
-                    self._occupancy[core] += 1
-            else:
-                owners = self._l3_owners.get(addr)
-                if owners is not None and core not in owners:
-                    owners.add(core)
-                    self._occupancy[core] += 1
+            owners = self._l3_owners.get(addr)
+            if owners is not None and core not in owners:
+                owners.add(core)
+                self._occupancy[core] += 1
             self._fill_private(core, addr)
             return L3_HIT
         counters.l3_misses += 1
@@ -233,28 +228,32 @@ class CacheHierarchy:
         """Route an address batch under a cycle budget.
 
         Each access executes only if the running cycle total before it,
-        starting from ``used``, is under ``budget`` (the scalar loop's
-        rule), and then adds ``costs[level]`` for its serving level, in
-        order, with the same float adds as the scalar loop.  Returns the
-        serving levels of the executed prefix and the new running
-        total; the caller pushes the unexecuted suffix back.  With
-        ``budget=inf`` the whole batch executes.
+        starting from ``used``, is under ``budget``, and then adds
+        ``costs[level]`` for its serving level, one float add per
+        access, in order.  Returns the serving levels of the executed
+        prefix and the new running total; the caller
+        (:meth:`repro.arch.core.Core.run`, on every configuration)
+        pushes the unexecuted suffix back.  With ``budget=inf`` the
+        whole batch executes.
 
-        Semantically identical to that priced loop over
-        :meth:`access` — and that is literally what runs when
-        :meth:`bulk_kernel_ok` denies the production path (the
-        reference walk's configs, or an L3 quota on this core).  On the
+        Semantically identical to that priced loop over the reference
+        walk in :meth:`access` — and that is literally what runs when
+        :meth:`bulk_kernel_ok` denies the production path.  On the
         production path all hot state is hoisted into locals, the
         L1/L2/L3 probes and fills are inlined over the flat tag arrays
         and the L3 owner column, and per-access counter increments
         become batch-local integer deltas flushed into
         :class:`HierarchyCounters` (and the per-cache stats) once at
-        the end.  Runs of identical consecutive addresses collapse into
-        one walk plus guaranteed L1 hits: after any access the line is
-        MRU in this core's L1, and nothing else can touch the hierarchy
-        mid-batch (cores interleave at slice granularity).
+        the end.  An L3 occupancy quota on this core is honoured at the
+        fill, as :meth:`_fill_l3` does.  Runs of identical consecutive
+        addresses collapse into one walk plus guaranteed L1 hits: after
+        any access the line is MRU in this core's L1, and nothing else
+        can touch the hierarchy mid-batch (cores interleave at slice
+        granularity).
         """
-        if not self.bulk_kernel_ok(core):
+        l3 = self.l3
+        l3_owner = l3._owner_tags
+        if l3_owner is None:
             access = self.access
             levels = []
             for a in addrs:
@@ -268,7 +267,6 @@ class CacheHierarchy:
             return levels, used
         l1 = self.l1[core]
         l2 = self.l2[core]
-        l3 = self.l3
         l1_tags = l1._tags
         l1_fill = l1._fill_counts
         l1_heads = l1._heads
@@ -299,7 +297,7 @@ class CacheHierarchy:
         l1_invalidate = l1.invalidate
         l2_invalidate = l2.invalidate
         occupancy = self._occupancy
-        l3_owner = l3._owner_tags
+        quota = self._l3_quota[core]
         own_bit = 1 << core
         counters_all = self.counters
         l1_caches = self.l1
@@ -498,6 +496,11 @@ class CacheHierarchy:
                 level = 3
             else:
                 nm3 += 1
+                if quota is not None and occupancy[core] >= quota:
+                    # Over quota: free one of our own lines in the set
+                    # first (it compacts the set, so before the fill
+                    # count is read).
+                    self._evict_own_line(core, addr)
                 # Fill L3 (absent: just probed and missed).  A full set
                 # is a circular window: evict-and-insert rewrites the
                 # head slot, no shifting.
@@ -705,9 +708,6 @@ class CacheHierarchy:
             self.counters[core].writebacks += 1
             if self.memory is not None:
                 self.memory.access(0.0)
-        if self._owner_arrays:
-            self._fill_l3_owner_array(core, addr, victim)
-            return
         if victim is not None:
             victim_owners = self._l3_owners.pop(victim, set())
             for owner in victim_owners:
@@ -722,46 +722,6 @@ class CacheHierarchy:
         self._l3_owners[addr] = {core}
         self._occupancy[core] += 1
 
-    def _fill_l3_owner_array(
-        self, core: int, addr: int, victim: int | None
-    ) -> None:
-        """Owner bookkeeping for a just-filled L3 line (array store).
-
-        ``SetAssociativeCache.fill`` never touches the owner column, so
-        on eviction the victim's bitmask is still sitting in the slot
-        the new tag landed in — decode it there, fan out the occupancy
-        pops / stolen-line counts / back-invalidations (the column
-        implies an inclusive L3), then claim the slot with this core's
-        bit.
-        """
-        l3 = self.l3
-        si = addr & l3._set_mask
-        assoc = l3._assoc
-        fill = l3._fill_counts[si]
-        if fill < assoc:
-            slot = si * assoc + fill - 1
-        else:
-            head = l3._heads[si]
-            slot = si * assoc + (head - 1 if head else assoc - 1)
-        owner_tags = l3._owner_tags
-        assert owner_tags is not None
-        if victim is not None:
-            m = owner_tags[slot]
-            owner = 0
-            while m:
-                if m & 1:
-                    self._occupancy[owner] -= 1
-                    if owner != core:
-                        self.counters[owner].lines_stolen += 1
-                    invalidated = self.l2[owner].invalidate(victim)
-                    invalidated |= self.l1[owner].invalidate(victim)
-                    if invalidated:
-                        self.counters[owner].back_invalidations += 1
-                m >>= 1
-                owner += 1
-        owner_tags[slot] = 1 << core
-        self._occupancy[core] += 1
-
     def _evict_own_line(self, core: int, addr: int) -> None:
         """Pre-evict one of ``core``'s own lines from ``addr``'s set.
 
@@ -770,19 +730,18 @@ class CacheHierarchy:
         neighbour line is displaced.  If the core owns nothing in the
         set, the fill proceeds normally (the quota is soft).
         """
-        set_index = addr & (self.l3.geometry.num_sets - 1)
-        if self._owner_arrays:
+        l3 = self.l3
+        set_index = addr & (l3.geometry.num_sets - 1)
+        owner_tags = l3._owner_tags
+        if owner_tags is not None:
             # Walk the set's slots in logical LRU order and pick the
             # first line carrying this core's owner bit (same order the
             # dict path sees through ``set_contents``).
-            l3 = self.l3
             assoc = l3._assoc
             base = set_index * assoc
             fill = l3._fill_counts[set_index]
             head = l3._heads[set_index] if fill >= assoc else 0
             count = fill if fill < assoc else assoc
-            owner_tags = l3._owner_tags
-            assert owner_tags is not None
             tags = l3._tags
             bit = 1 << core
             for p in range(count):
@@ -810,11 +769,11 @@ class CacheHierarchy:
                         owner += 1
                     return
             return
-        for candidate in self.l3.set_contents(set_index):
+        for candidate in l3.set_contents(set_index):
             owners = self._l3_owners.get(candidate)
             if owners is not None and core in owners and \
                     candidate != addr:
-                self.l3.invalidate(candidate)
+                l3.invalidate(candidate)
                 self._l3_owners.pop(candidate, None)
                 for owner in owners:
                     self._occupancy[owner] -= 1
@@ -826,25 +785,20 @@ class CacheHierarchy:
                 return
 
     def bulk_kernel_ok(self, core: int) -> bool:
-        """Whether ``core`` may take the production path.
+        """Whether ``core`` takes the production path.
 
-        The single predicate routing between the two paths.  The
-        production path (:meth:`access_many` and the vector kernel)
-        inlines flat-array LRU walks over the L3 owner column, so it
-        needs that column — which implies plain LRU with the fast lane
-        on, an inclusive L3 and at most 63 cores — and the per-access
-        side channels it does not model off: the store accumulator
-        (writebacks), the next-line prefetcher, and this core's L3
-        occupancy quota.  Everything else runs the reference walk.
-        Quotas arrive mid-run (CAER's response hook), so the answer
-        can change between periods; callers re-check per batch loop.
+        The single predicate routing between the two paths, and a
+        construction-time fact: the production path (:meth:`access_many`
+        and the vector kernel) inlines flat-array LRU walks over the L3
+        owner column, and that column is attached exactly when the
+        machine is one the production path models — plain LRU with the
+        fast lane on, an inclusive L3, at most 63 cores, no store
+        accumulator (writebacks) and no next-line prefetcher.  Every
+        other machine runs the reference walk.  The answer is the same
+        for every core; an L3 quota (CAER's partition response) is
+        honoured inside :meth:`access_many`.
         """
-        return (
-            self._owner_arrays
-            and not self._writebacks_enabled
-            and not self._prefetch_degree
-            and self._l3_quota[core] is None
-        )
+        return self.l3._owner_tags is not None
 
     def vector_kernel_ok(self, core: int) -> bool:
         """Whether ``core`` may route batches through the vector kernel.
@@ -853,12 +807,16 @@ class CacheHierarchy:
         ``array('q')``-backed storage (with its numpy views) on the
         shared L3 — which
         :class:`repro.arch.cache.SetAssociativeCache` only allocates
-        when ``REPRO_VECTOR_KERNEL`` was on at construction.  The
-        private levels stay list-backed (the vector kernel fills them
-        with scalar verbs; their capacities are too small for numpy to
-        win), so only the L3 storage gates the kernel.
+        when ``REPRO_VECTOR_KERNEL`` was on at construction — and no L3
+        quota on ``core``: the vector commit does not model the
+        quota's own-line pre-eviction.  The private levels stay
+        list-backed (the vector kernel fills them with scalar verbs;
+        their capacities are too small for numpy to win), so only the
+        L3 storage gates the kernel.  Quotas arrive mid-run, so callers
+        re-check per batch loop.
         """
-        return self.bulk_kernel_ok(core) and self.l3._vector
+        return (self.l3._vector and self.l3._owner_tags is not None
+                and self._l3_quota[core] is None)
 
     def vector_classify(self, core: int, addrs):
         """Classify an int64 batch for the vector kernel (pure read).
@@ -922,11 +880,10 @@ class CacheHierarchy:
         occupied slot's bitmask.  Differential tests compare the two
         directly.
         """
-        if not self._owner_arrays:
-            return {a: set(o) for a, o in self._l3_owners.items()}
         l3 = self.l3
         owner_tags = l3._owner_tags
-        assert owner_tags is not None
+        if owner_tags is None:
+            return {a: set(o) for a, o in self._l3_owners.items()}
         tags = l3._tags
         assoc = l3._assoc
         out: dict[int, set[int]] = {}

@@ -250,9 +250,6 @@ class SimulationEngine:
         }
         names = list(self.processes)
         for s in range(self.slices_per_period):
-            slice_start = self.clock.cycle_at(
-                period, s / self.slices_per_period
-            )
             # Rotate service order so shared-resource priority is fair.
             order = names[s % len(names):] + names[:s % len(names)]
             for name in order:
@@ -262,11 +259,7 @@ class SimulationEngine:
                 if not proc.runnable:
                     continue
                 core = self.chip.core(proc.core_id)
-                core.run(
-                    proc,
-                    budgets[name] * proc.speed_factor,
-                    start_cycle=slice_start,
-                )
+                core.run(proc, budgets[name] * proc.speed_factor)
                 if proc.finished:
                     proc.note_completion(period)
 

@@ -256,7 +256,7 @@ CUTS = st.lists(
 
 
 class TestPricedBatches:
-    """A priced ``access_many`` stops where the scalar loop would."""
+    """A priced ``access_many`` stops where the reference walk would."""
 
     @settings(max_examples=60, deadline=None)
     @given(batches=BATCHES, costs=COSTS, cuts=CUTS)
@@ -346,14 +346,22 @@ RUN_BUDGETS = [40_000.0, 5_000.0, 0.5, 2.0, 1_234.5, 1.0, 40_000.0,
                40_000.0, 2_500.0, 1.5, 40_000.0]
 
 
+#: Steps of RUN_BUDGETS at which the quota case caps core 0's L3
+#: occupancy (CAER's partition response) and later lifts the cap.
+QUOTA_ON, QUOTA_OFF = 3, 12
+
+
 class TestCoreRunDifferential:
     """``Core.run`` on the production path == on the reference walk."""
 
-    @pytest.mark.parametrize("vector", ["0", "1"])
-    def test_budget_sequence_matches_reference(self, vector):
+    @pytest.mark.parametrize("vector, quota", [
+        ("0", False), ("1", False), ("1", True),
+    ], ids=["0", "1", "quota"])
+    def test_budget_sequence_matches_reference(self, vector, quota):
         from repro.arch.chip import MulticoreChip
 
         calls = [0]
+        own_evictions = [0, 0]
         with tier_env(vector=vector):
             prod = MulticoreChip(MachineConfig.tiny(), seed=5)
             assert prod.hierarchy.bulk_kernel_ok(0)
@@ -366,10 +374,23 @@ class TestCoreRunDifferential:
             prod.hierarchy.access = counted
             with tier_env(fast="0"):
                 ref = MulticoreChip(MachineConfig.tiny(), seed=5)
+            for k, chip in enumerate((prod, ref)):
+                evict = chip.hierarchy._evict_own_line
+
+                def counted_evict(core, addr, k=k, evict=evict):
+                    own_evictions[k] += 1
+                    evict(core, addr)
+
+                chip.hierarchy._evict_own_line = counted_evict
             runs = [(chip, resident_victim(), streamer())
                     for chip in (prod, ref)]
             below_debt = 0
             for step, budget in enumerate(RUN_BUDGETS):
+                if quota and step in (QUOTA_ON, QUOTA_OFF):
+                    for chip in (prod, ref):
+                        chip.hierarchy.set_l3_quota(
+                            0, 0.25 if step == QUOTA_ON else None
+                        )
                 if ref.core(0)._stall_debt > budget:
                     below_debt += 1
                 got = []
@@ -390,11 +411,14 @@ class TestCoreRunDifferential:
                 ref.memory.total_queue_cycles
             assert snapshot(prod.hierarchy) == snapshot(ref.hierarchy)
         # The sequence must reach what it is meant to: budgets under a
-        # carried debt, a non-zero queue delay, and no scalar access
-        # anywhere on the production path.
+        # carried debt, a non-zero queue delay, no scalar access
+        # anywhere on the production path, and (quota case) own-line
+        # pre-evictions on both walks.
         assert below_debt >= 2
         assert prod.memory.total_queue_cycles > 0.0
         assert calls[0] == 0
+        assert own_evictions[0] == own_evictions[1]
+        assert (own_evictions[0] > 0) == quota
 
 
 def drive_vector(machine, batches):
@@ -667,6 +691,9 @@ class TestFallbackPredicate:
             h, ref = hierarchy_pair(tiny_machine(**overrides))
         assert not h.bulk_kernel_ok(0)
         assert not h.vector_kernel_ok(0)
+        # The owner column marks the production path: a denied machine
+        # carries the reference dict store instead.
+        assert h.l3._owner_tags is None
         # Denied configs fall straight to the reference walk: the same
         # levels and the same end state as the REPRO_FAST_LANE=0 run.
         stream = [(a * 7) % 64 for a in range(300)]
@@ -676,17 +703,23 @@ class TestFallbackPredicate:
                 walk(ref, core, addrs)
         assert snapshot(h) == snapshot(ref)
 
-    def test_quota_denies_kernel_per_core(self, monkeypatch):
-        # Quotas arrive mid-run (CAER's response hook): the predicate
-        # must flip off for the capped core only, and back on when the
-        # cap lifts.
+    def test_quota_denies_only_vector_per_core(self, monkeypatch):
+        # Quotas arrive mid-run (CAER's response hook).  access_many
+        # models the quota's own-line pre-eviction, so the production
+        # path keeps serving every core; only the vector commit, which
+        # does not, flips off — for the capped core only, and back on
+        # when the cap lifts.
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
+        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
         h = CacheHierarchy(tiny_machine(), seed=1)
         h.set_l3_quota(0, 0.5)
-        assert not h.bulk_kernel_ok(0)
+        assert h.bulk_kernel_ok(0)
         assert h.bulk_kernel_ok(1)
+        assert not h.vector_kernel_ok(0)
+        assert h.vector_kernel_ok(1)
         h.set_l3_quota(0, None)
         assert h.bulk_kernel_ok(0)
+        assert h.vector_kernel_ok(0)
 
     def test_vector_allowed_on_plain_lru(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
@@ -709,25 +742,25 @@ class TestFallbackPredicate:
         assert h.bulk_kernel_ok(0)
 
     def test_bulk_prerequisites_gate_vector(self, monkeypatch):
-        # The vector kernel is part of the production path: anything
-        # that denies access_many (here a mid-run L3 quota) denies the
-        # vector kernel for the same core, and recovers when the cap
-        # lifts.
+        # The vector kernel is part of the production path: a machine
+        # access_many does not serve is denied the vector kernel too,
+        # even though its L3 carries the vector storage.
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
         monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
-        h = CacheHierarchy(tiny_machine(), seed=1)
-        h.set_l3_quota(0, 0.5)
-        assert not h.vector_kernel_ok(0)
-        assert h.vector_kernel_ok(1)
-        h.set_l3_quota(0, None)
-        assert h.vector_kernel_ok(0)
+        for overrides in ({"model_writebacks": True},
+                          {"prefetch_degree": 1},
+                          {"l3_inclusive": False}):
+            h = CacheHierarchy(tiny_machine(**overrides), seed=1)
+            assert h.l3._vector
+            assert not h.bulk_kernel_ok(0)
+            assert not h.vector_kernel_ok(0)
 
     @pytest.mark.parametrize("overrides", [
         {"model_writebacks": True},
         {"prefetch_degree": 2},
     ])
     def test_fallback_matches_scalar(self, overrides, monkeypatch):
-        # The fallback literally is the scalar loop; results and side
+        # The fallback literally is the reference walk; results and side
         # effects (store accumulator, prefetch fills) must match.
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
         machine = tiny_machine(**overrides)

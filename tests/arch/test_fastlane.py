@@ -1,7 +1,7 @@
 """Hot-path specializations vs. the generic reference implementation.
 
-The LRU-specialized probe/fill rebindings and the core's inlined L1
-MRU-hit check are pure optimisations: every observable — set contents,
+The LRU-specialized probe/fill rebindings and the production path's
+batched walks are pure optimisations: every observable — set contents,
 stats, per-core counters, simulated results — must match the generic
 path bit for bit.  These tests drive both paths with identical inputs
 and compare, and check the cache invariants on the specialized path.

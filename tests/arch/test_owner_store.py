@@ -46,8 +46,8 @@ def owner_pair(machine, vector: str = "0"):
 
 def drive_pair_kernel(machine, batches):
     arr, ref = owner_pair(machine)
-    assert arr._owner_arrays
-    assert not ref._owner_arrays
+    assert arr.bulk_kernel_ok(0)
+    assert not ref.bulk_kernel_ok(0)
     for core, addrs in batches:
         assert walk(arr, core, addrs) == \
             walk(ref, core, addrs)
@@ -59,8 +59,8 @@ def drive_pair_kernel(machine, batches):
 def drive_pair_vector(machine, batches):
     """Both hierarchies walk the core's vector-first route in lockstep."""
     arr, ref = owner_pair(machine, vector="1")
-    assert arr._owner_arrays
-    assert not ref._owner_arrays
+    assert arr.bulk_kernel_ok(0)
+    assert not ref.bulk_kernel_ok(0)
     for core, addrs in batches:
         arr_np = np.asarray(addrs, dtype=np.int64)
         levels = []
@@ -101,11 +101,13 @@ class TestOwnerDifferential:
 
     @settings(max_examples=20, deadline=None)
     @given(batches=BATCHES)
-    def test_scalar_ladder_with_quota(self, batches):
-        # An L3 quota denies access_many, so both stores run the
-        # scalar access path — including `_evict_own_line`'s logical
-        # LRU scan over the bitmask column.
+    def test_quota_fill_matches_dict_store(self, batches):
+        # Under an L3 quota, access_many's inlined fill pre-evicts one
+        # of the core's own lines through `_evict_own_line`'s logical
+        # LRU scan over the bitmask column; the reference walk does the
+        # same over the dict store.
         arr, ref = owner_pair(tiny_machine())
+        assert arr.bulk_kernel_ok(0)
         for h in (arr, ref):
             h.set_l3_quota(0, 0.25)
         for core, addrs in batches:
@@ -120,21 +122,23 @@ class TestOwnerEdgeCases:
 
     def test_multi_owner_victim_with_own_core_back_invalidation(self):
         # Core 0 and core 1 share line 0 (owners {0, 1}); core 0's
-        # prefetches then fill L3 set 0 until line 0 is evicted while
-        # it still sits in core 0's own L2 (the demand stream lives in
-        # a different L2 set, so it survives there) and in core 1's
-        # caches.  The multi-owner fan-out must back-invalidate BOTH
-        # cores and charge core 1 a stolen line — identically in both
-        # stores.
-        machine = tiny_machine(prefetch_degree=1)
+        # demand fills then push line 0 out of L3 set 0 while it still
+        # sits in core 0's own L2 and in core 1's caches.  The L2 has
+        # more sets than the L3, so the demand stream shares line 0's
+        # L3 set but not its L2 set.  access_many's multi-owner fan-out
+        # must back-invalidate BOTH cores (core 0 through its
+        # `owner == core` arm) and charge core 1 a stolen line —
+        # identically in both stores.
+        machine = tiny_machine(
+            l2=CacheGeometry(num_sets=32, associativity=2)
+        )
         arr, ref = owner_pair(machine)
+        assert arr.bulk_kernel_ok(0)
         for h in (arr, ref):
-            h.access(0, 0)
-            h.access(1, 0)
-            # Demands 15, 31, ... land in L3 set 15 / L2 set 3; their
-            # next-line prefetches 16, 32, ... land in L3 set 0.
-            for i in range(1, 10):
-                h.access(0, 16 * i - 1)
+            walk(h, 0, [0])
+            walk(h, 1, [0])
+            # Demands 16, 48, ... land in L3 set 0 / L2 set 16.
+            walk(h, 0, [32 * i + 16 for i in range(9)])
         assert snapshot(arr) == snapshot(ref)
         assert not arr.l3.contains(0)
         assert arr.counters[0].back_invalidations >= 1
@@ -179,7 +183,7 @@ class TestOwnerEdgeCases:
             h = CacheHierarchy(
                 tiny_machine(l3_inclusive=False), seed=3
             )
-        assert not h._owner_arrays
+        assert not h.bulk_kernel_ok(0)
         assert h.l3._owner_tags is None
         walk(h, 0, list(range(16)))
         # The reference dict carries the records instead.
@@ -189,7 +193,7 @@ class TestOwnerEdgeCases:
     def test_env_gate_reverts_to_dict(self):
         with tier_env(fast="0"):
             h = CacheHierarchy(tiny_machine(), seed=3)
-        assert not h._owner_arrays
+        assert not h.bulk_kernel_ok(0)
         assert h.l3._owner_tags is None
         walk(h, 0, list(range(16)))
         assert h._l3_owners
