@@ -22,8 +22,7 @@ workload's amortisation budget: ``stream-llc`` at the default 40 K
 cycles (large consecutive batches exist there already), and
 ``pointer-chase`` at a longer budget, kept for continuity with the
 trajectory.  The generic gates compare the production path against
-the reference walk at the standard 40 K budget, both sides measured
-as one interleaved pair (:func:`measure_pair`): on ``stream-llc`` the
+the reference walk at the standard 40 K budget: on ``stream-llc`` the
 vector kernel engages on large consecutive batches, and on
 ``pointer-chase`` the ~200-access batches of a 40 K budget sit above
 the kernel's engage floor.
@@ -141,30 +140,6 @@ WORKLOADS = {
 }
 
 
-def measure(
-    tier: str,
-    factory,
-    warm: int,
-    timed: int,
-    budget: float = DEFAULT_BUDGET,
-    reps: int = 3,
-) -> float:
-    """Best-of-``reps`` accesses/second for one execution tier.
-
-    The gates are read at object construction, so the chip is built
-    after setting the environment; the workload restarts when it
-    finishes so the measured stream is steady-state.  Best-of-N is the
-    standard defence against interpreter and scheduler noise (only
-    slowdowns are spurious).
-    """
-    best = 0.0
-    for _ in range(max(1, reps)):
-        best = max(
-            best, _measure_once(TIERS[tier], factory, warm, timed, budget)
-        )
-    return best
-
-
 def _measure_once(
     env: tuple, factory, warm: int, timed: int, budget: float
 ) -> float:
@@ -195,31 +170,30 @@ def _measure_once(
             os.environ.pop(key, None)
 
 
-def measure_pair(
-    tier_a: str,
-    tier_b: str,
+def measure_tiers(
+    tiers: tuple[str, ...],
     factory,
     warm: int,
     timed: int,
     budget: float = DEFAULT_BUDGET,
     reps: int = 3,
-) -> tuple[float, float]:
-    """Best-of-``reps`` for two tiers with their reps interleaved.
+) -> dict[str, float]:
+    """Best-of-``reps`` accesses/second per tier, reps round-robin.
 
     A gate that divides two throughputs is only as trustworthy as the
-    measurement *pair*: taking all of tier A's reps, then all of tier
-    B's, lets slow scheduler drift land entirely on one side of the
-    ratio.  Alternating A/B per rep exposes both tiers to the same
-    noise environment, so best-of-N cancels drift instead of baking
-    it into the comparison.
+    measurement of both sides: taking all of tier A's reps, then all
+    of tier B's, lets slow scheduler drift land entirely on one side
+    of the ratio.  Cycling through the tiers once per rep exposes them
+    all to the same noise environment, so best-of-N (only slowdowns
+    are spurious) cancels drift instead of baking it into the
+    comparison.
     """
-    best_a = best_b = 0.0
+    best = dict.fromkeys(tiers, 0.0)
     for _ in range(max(1, reps)):
-        best_a = max(best_a, _measure_once(
-            TIERS[tier_a], factory, warm, timed, budget))
-        best_b = max(best_b, _measure_once(
-            TIERS[tier_b], factory, warm, timed, budget))
-    return best_a, best_b
+        for tier in tiers:
+            best[tier] = max(best[tier], _measure_once(
+                TIERS[tier], factory, warm, timed, budget))
+    return best
 
 
 def run_suite(
@@ -227,16 +201,16 @@ def run_suite(
 ) -> list[dict]:
     """One row per workload: tier throughputs, ratios, gate data.
 
-    ``gates=False`` (smoke runs) skips the separate gate measurements;
-    the main table still carries all three tiers at the default
-    budget.
+    The main table measures all three tiers round-robin per rep
+    (:func:`measure_tiers`), so every ratio it feeds — gates at the
+    default budget included — compares tiers that shared one noise
+    environment.  ``gates=False`` (smoke runs) skips the gate rows and
+    the longer-budget gate measurement.
     """
     rows = []
     for name, (factory, kernel_gated, vgate, ggate) in WORKLOADS.items():
-        tiers = {
-            tier: measure(tier, factory, warm, timed, reps=reps)
-            for tier in TIERS
-        }
+        tiers = measure_tiers(tuple(TIERS), factory, warm, timed,
+                              reps=reps)
         row = {
             "workload": name,
             "kernel_gated": kernel_gated,
@@ -253,13 +227,14 @@ def run_suite(
             "generic_gate": None,
         }
         if ggate is not None and gates:
-            # Fresh interleaved pair instead of reusing the main
-            # table's numbers: the gate is a ratio, and the two sides
-            # must share one noise environment (measure_pair).
-            vector, generic = measure_pair(
-                "vector", "generic", factory, warm, timed,
-                budget=ggate["budget"], reps=reps,
-            )
+            if ggate["budget"] == DEFAULT_BUDGET:
+                vector, generic = tiers["vector"], tiers["generic"]
+            else:
+                pair = measure_tiers(
+                    ("vector", "generic"), factory, warm, timed,
+                    budget=ggate["budget"], reps=reps,
+                )
+                vector, generic = pair["vector"], pair["generic"]
             row["generic_gate"] = {
                 "budget": ggate["budget"],
                 "target": ggate["target"],
@@ -276,14 +251,11 @@ def run_suite(
                 scale = DEFAULT_BUDGET / vgate["budget"]
                 gw = max(2, round(warm * scale))
                 gt = max(4, round(timed * scale))
-                kernel = measure(
-                    "kernel", factory, gw, gt,
+                pair = measure_tiers(
+                    ("kernel", "vector"), factory, gw, gt,
                     budget=vgate["budget"], reps=reps,
                 )
-                vector = measure(
-                    "vector", factory, gw, gt,
-                    budget=vgate["budget"], reps=reps,
-                )
+                kernel, vector = pair["kernel"], pair["vector"]
             row["vector_gate"] = {
                 "budget": vgate["budget"],
                 "target": vgate["target"],

@@ -14,11 +14,7 @@ import bisect
 from collections.abc import Iterable
 
 from ..errors import WorkloadError
-from .stack_distance import (
-    reuse_distance_histogram,
-    sample_trace,
-    singleton_count,
-)
+from .stack_distance import reuse_profile
 
 
 class MissRateCurve:
@@ -59,16 +55,21 @@ class MissRateCurve:
     @classmethod
     def from_trace(cls, trace: Iterable[int]) -> "MissRateCurve":
         """Profile a concrete address trace."""
-        trace = list(trace)
-        histogram, cold = reuse_distance_histogram(trace)
-        return cls(histogram, cold, singletons=singleton_count(trace))
+        histogram, cold, singletons = reuse_profile(trace)
+        return cls(histogram, cold, singletons=singletons)
 
     @classmethod
     def from_pattern(
         cls, pattern: "object", samples: int = 50_000
     ) -> "MissRateCurve":
-        """Profile a live access pattern by sampling it."""
-        return cls.from_trace(sample_trace(pattern, samples))
+        """Profile a live access pattern by sampling it.
+
+        ``pattern`` is any :class:`repro.workloads.base.AccessPattern`;
+        its next ``samples`` addresses are profiled as one array.
+        """
+        if samples <= 0:
+            raise WorkloadError(f"trace length must be positive: {samples}")
+        return cls.from_trace(pattern.next_addresses_array(samples))
 
     def hit_rate(self, cache_lines: float) -> float:
         """Fraction of accesses with reuse distance < ``cache_lines``."""

@@ -69,19 +69,27 @@ def _earlier_greater(values: np.ndarray) -> np.ndarray:
     return counts[:n]
 
 
-def _reuse_distance_array(trace: Iterable[int]) -> np.ndarray:
-    """Per-access reuse distances as an int32 array."""
-    lines = np.fromiter(trace, dtype=np.int64)
+def _reuse_distance_array(lines: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-access reuse distances (int32) and the singleton-line count.
+
+    Both come off one stable sort that groups each line's accesses in
+    order: consecutive equal keys give ``prev``, and a line touched
+    exactly once is a run of length one.
+    """
     n = lines.shape[0]
     if n == 0:
-        return np.zeros(0, dtype=np.int32)
-    # prev[k]: the previous access to line[k] (-1 for a first touch),
-    # read off a stable sort that groups each line's accesses in order.
+        return np.zeros(0, dtype=np.int32), 0
+    # prev[k]: the previous access to line[k] (-1 for a first touch).
     order = np.argsort(lines, kind="stable").astype(np.int32)
     sorted_lines = lines[order]
-    del lines
     repeat = sorted_lines[1:] == sorted_lines[:-1]
     del sorted_lines
+    # starts[i]: position i of the sort opens a run (the end closes
+    # the last one); a singleton run opens and closes at once.
+    starts = np.ones(n + 1, dtype=bool)
+    np.logical_not(repeat, out=starts[1:n])
+    singletons = int(np.count_nonzero(starts[:-1] & starts[1:]))
+    del starts
     prev = np.full(n, -1, dtype=np.int32)
     prev[order[1:][repeat]] = order[:-1][repeat]
     del order, repeat
@@ -90,12 +98,39 @@ def _reuse_distance_array(trace: Iterable[int]) -> np.ndarray:
     distances -= 1
     distances -= _earlier_greater(prev)
     distances[prev < 0] = COLD
-    return distances
+    return distances, singletons
+
+
+def _as_lines(trace: Iterable[int]) -> np.ndarray:
+    if isinstance(trace, np.ndarray):
+        return trace.astype(np.int64, copy=False)
+    return np.fromiter(trace, dtype=np.int64)
 
 
 def reuse_distances(trace: Iterable[int]) -> list[int]:
     """Per-access reuse distances (:data:`COLD` for first touches)."""
-    return _reuse_distance_array(trace).tolist()
+    return _reuse_distance_array(_as_lines(trace))[0].tolist()
+
+
+def reuse_profile(
+    trace: Iterable[int],
+) -> tuple[dict[int, int], int, int]:
+    """``(histogram, cold, singletons)`` of a trace, from one sort.
+
+    ``histogram[d]`` counts accesses with reuse distance ``d`` and
+    ``cold`` counts first touches.  ``singletons`` counts lines touched
+    exactly once: such a line's only access misses at every cache size
+    *every time the workload reaches it* — for cyclic workloads whose
+    period exceeds the profiled window this is steady-state missing,
+    not a one-off compulsory miss.  The complement
+    (``cold - singletons``) counts genuinely transient first touches
+    of lines the workload demonstrably revisits.
+    """
+    distances, singletons = _reuse_distance_array(_as_lines(trace))
+    warm = distances[distances != COLD]
+    values, counts = np.unique(warm, return_counts=True)
+    histogram = dict(zip(values.tolist(), counts.tolist()))
+    return histogram, int(distances.shape[0] - warm.shape[0]), singletons
 
 
 def reuse_distance_histogram(
@@ -103,30 +138,10 @@ def reuse_distance_histogram(
 ) -> tuple[dict[int, int], int]:
     """Histogram of reuse distances plus the cold-miss count.
 
-    Returns ``(histogram, cold)`` where ``histogram[d]`` counts accesses
-    with reuse distance ``d`` and ``cold`` counts first touches.
+    Returns ``(histogram, cold)``; see :func:`reuse_profile`.
     """
-    distances = _reuse_distance_array(trace)
-    warm = distances[distances != COLD]
-    values, counts = np.unique(warm, return_counts=True)
-    histogram = dict(zip(values.tolist(), counts.tolist()))
-    return histogram, int(distances.shape[0] - warm.shape[0])
-
-
-def singleton_count(trace: Iterable[int]) -> int:
-    """Lines touched exactly once in the trace.
-
-    A single-touch line's first (and only) access misses at every cache
-    size *every time the workload reaches it* — for cyclic workloads
-    whose period exceeds the profiled window this is steady-state
-    missing, not a one-off compulsory miss.  The complement
-    (``cold - singletons``) counts genuinely transient first touches of
-    lines the workload demonstrably revisits.
-    """
-    counts: dict[int, int] = {}
-    for addr in trace:
-        counts[addr] = counts.get(addr, 0) + 1
-    return sum(1 for c in counts.values() if c == 1)
+    histogram, cold, _singletons = reuse_profile(trace)
+    return histogram, cold
 
 
 def sample_trace(pattern: "object", length: int) -> list[int]:

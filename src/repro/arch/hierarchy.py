@@ -663,7 +663,7 @@ class CacheHierarchy:
             self._fill_l3(core, paddr)
             counters.prefetch_fills += 1
             if self.memory is not None:
-                self.memory.access(0.0)
+                self.memory.access()
 
     def _fill_private(self, core: int, addr: int) -> None:
         self._l2_fills[core](addr)
@@ -707,7 +707,7 @@ class CacheHierarchy:
             self._dirty.discard(victim)
             self.counters[core].writebacks += 1
             if self.memory is not None:
-                self.memory.access(0.0)
+                self.memory.access()
         if victim is not None:
             victim_owners = self._l3_owners.pop(victim, set())
             for owner in victim_owners:

@@ -72,12 +72,11 @@ class MainMemory:
         #: per-period utilisation history (for tests and reports)
         self.rho_history: list[float] = []
 
-    def access(self, now: float) -> float:
-        """Cost in cycles of an off-chip access issued at cycle ``now``.
+    def access(self) -> float:
+        """Cost in cycles of one off-chip access.
 
-        ``now`` is accepted for interface stability (and future
-        refinements) but the rate-based model prices every access in a
-        period identically.
+        The rate-based model prices every access in a period
+        identically, so the cost does not depend on when it is issued.
         """
         self.accesses += 1
         self._arrivals_this_period += 1

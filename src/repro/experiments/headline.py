@@ -57,6 +57,36 @@ class HeadlineNumbers:
         return "\n".join(lines) + "\n"
 
 
+def headline_band_failures(numbers: HeadlineNumbers) -> list[str]:
+    """The paper's headline bands; one message per band missed.
+
+    The penalty chain must fall 17% -> 6% (shutter) -> 4% (rule), and
+    both utilisation gains must sit in the paper's ~0.58-0.60 band.
+    Utilisation gained grows with run length, so the bands are not
+    tightened at short lengths (docs/paper_mapping.md).
+    """
+    n = numbers
+    bands = [
+        (0.08 <= n.raw_penalty <= 0.30,
+         f"raw penalty {n.raw_penalty:.3f} outside [0.08, 0.30]"),
+        (n.shutter_penalty < n.raw_penalty,
+         f"shutter penalty {n.shutter_penalty:.3f} not below raw "
+         f"{n.raw_penalty:.3f}"),
+        (n.rule_penalty <= n.shutter_penalty + 0.02,
+         f"rule penalty {n.rule_penalty:.3f} above shutter "
+         f"{n.shutter_penalty:.3f} + 0.02"),
+        (n.rule_penalty <= 0.08,
+         f"rule penalty {n.rule_penalty:.3f} above 0.08"),
+        (0.35 <= n.shutter_utilization <= 0.80,
+         f"shutter utilization {n.shutter_utilization:.3f} outside "
+         f"[0.35, 0.80]"),
+        (0.35 <= n.rule_utilization <= 0.80,
+         f"rule utilization {n.rule_utilization:.3f} outside "
+         f"[0.35, 0.80]"),
+    ]
+    return [message for held, message in bands if not held]
+
+
 def headline_numbers(campaign: Campaign) -> HeadlineNumbers:
     """Compute the suite-mean penalties and utilization gains."""
     rows = list(benchmark_names())

@@ -31,11 +31,5 @@ class SimClock:
         self.period += 1
         return self.period
 
-    def cycle_at(self, period: int, fraction: float = 0.0) -> float:
-        """Absolute cycle of a point ``fraction`` through ``period``."""
-        if not 0.0 <= fraction <= 1.0:
-            raise SimulationError(f"fraction out of range: {fraction}")
-        return (period + fraction) * self.period_cycles
-
     def __repr__(self) -> str:
         return f"SimClock(period={self.period}, cycle={self.cycle:.0f})"

@@ -4,7 +4,7 @@ Each pattern is a (spec, runtime) pair: the frozen ``*Spec`` dataclass
 validates parameters and states the footprint; ``instantiate`` builds a
 stateful generator whose :meth:`next_address` is the simulator's hottest
 call.  Random patterns therefore pre-draw numpy batches and serve them
-from a plain Python list.
+as slices of an int64 array.
 
 The patterns cover the behaviours the SPEC models need:
 
@@ -29,6 +29,7 @@ from ..errors import WorkloadError
 from .base import AccessPattern, PatternSpec
 
 _BATCH = 4096
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -37,42 +38,53 @@ def _require_positive(name: str, value: float) -> None:
 
 
 class _BufferedPattern(AccessPattern):
-    """Base for patterns that serve addresses from pre-drawn batches."""
+    """Base for patterns that serve addresses from pre-drawn batches.
+
+    ``_refill`` draws the next int64 batch (at least :data:`_BATCH`
+    addresses) and is the pattern's only use of its generator after
+    construction, so the generator is touched exactly when a draw
+    finds the buffer empty.  :class:`_Mixture` relies on that to
+    replay the scalar generator order in bulk.
+    """
 
     def __init__(self) -> None:
-        self._buffer: list[int] = []
+        self._buffer = _EMPTY
         self._index = 0
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         raise NotImplementedError
 
     def next_address(self) -> int:
         i = self._index
         buf = self._buffer
-        if i >= len(buf):
+        if i >= buf.shape[0]:
             buf = self._buffer = self._refill()
             i = 0
         self._index = i + 1
-        return buf[i]
+        return buf.item(i)
 
     def next_addresses(self, n: int) -> list[int]:
+        return self.next_addresses_array(n).tolist()
+
+    def next_addresses_array(self, n: int) -> np.ndarray:
+        # Batches are never written after _refill, so a batch that
+        # fits is served as a view.
         i = self._index
         buf = self._buffer
-        avail = len(buf) - i
-        if avail >= n:
-            self._index = i + n
-            return buf[i:i + n]
-        out = buf[i:]
-        n -= avail
+        end = i + n
+        if end <= buf.shape[0]:
+            self._index = end
+            return buf[i:end]
+        pieces = [buf[i:]]
+        n = end - buf.shape[0]
         while True:
-            buf = self._refill()
-            if len(buf) >= n:
-                self._buffer = buf
+            buf = self._buffer = self._refill()
+            if buf.shape[0] >= n:
                 self._index = n
-                out.extend(buf[:n])
-                return out
-            out.extend(buf)
-            n -= len(buf)
+                pieces.append(buf[:n])
+                return np.concatenate(pieces)
+            pieces.append(buf)
+            n -= buf.shape[0]
 
 
 # -- sequential streaming ----------------------------------------------
@@ -187,13 +199,13 @@ class _UniformRandom(_BufferedPattern):
         self._repeats = repeats
         self._base = base
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         draws = self._rng.integers(
             0, self._lines, size=_BATCH, dtype=np.int64
         )
         if self._repeats > 1:
             draws = np.repeat(draws, self._repeats)
-        return (draws + self._base).tolist()
+        return draws + self._base
 
     def footprint_lines(self) -> int:
         return self._lines
@@ -332,10 +344,10 @@ class _Zipf(_BufferedPattern):
         self._cdf /= self._cdf[-1]
         self._placement = rng.permutation(lines)
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         u = self._rng.random(_BATCH)
         ranks = np.searchsorted(self._cdf, u)
-        return (self._placement[ranks] + self._base).tolist()
+        return self._placement[ranks] + self._base
 
     def footprint_lines(self) -> int:
         return self._lines
@@ -388,7 +400,7 @@ class _HotCold(_BufferedPattern):
         self._fraction = hot_fraction
         self._base = base
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         rng = self._rng
         is_hot = rng.random(_BATCH) < self._fraction
         hot_draws = rng.integers(0, self._hot, size=_BATCH, dtype=np.int64)
@@ -396,7 +408,7 @@ class _HotCold(_BufferedPattern):
             0, self._cold, size=_BATCH, dtype=np.int64
         )
         draws = np.where(is_hot, hot_draws, cold_draws)
-        return (draws + self._base).tolist()
+        return draws + self._base
 
     def footprint_lines(self) -> int:
         return self._hot + self._cold
@@ -520,7 +532,8 @@ class MixtureSpec(PatternSpec):
 
 
 class _Mixture(AccessPattern):
-    __slots__ = ("_rng", "_parts", "_probs", "_choices", "_index")
+    __slots__ = ("_rng", "_parts", "_probs", "_choices", "_index",
+                 "_batched", "_choice_dtype")
 
     def __init__(
         self,
@@ -532,19 +545,89 @@ class _Mixture(AccessPattern):
         self._parts = parts
         total = sum(weights)
         self._probs = [w / total for w in weights]
-        self._choices: list[int] = []
+        self._choices = _EMPTY
         self._index = 0
+        # Narrow choices argsort by radix in the batch path.
+        self._choice_dtype = np.min_scalar_type(len(parts))
+        # The batch path must know when each component touches the
+        # shared generator: a buffered component exactly when it runs
+        # dry, the rest never after construction.  Any other component
+        # (a nested mixture) keeps the per-address loop.
+        self._batched = all(
+            isinstance(p, (_BufferedPattern, *_RNG_FREE)) for p in parts
+        )
+
+    def _draw_choices(self) -> np.ndarray:
+        return self._rng.choice(
+            len(self._parts), size=_BATCH, p=self._probs
+        ).astype(self._choice_dtype)
 
     def next_address(self) -> int:
         i = self._index
         choices = self._choices
-        if i >= len(choices):
-            choices = self._choices = self._rng.choice(
-                len(self._parts), size=_BATCH, p=self._probs
-            ).tolist()
+        if i >= choices.shape[0]:
+            choices = self._choices = self._draw_choices()
             i = 0
         self._index = i + 1
         return self._parts[choices[i]].next_address()
+
+    def next_addresses(self, n: int) -> list[int]:
+        if not self._batched:
+            return super().next_addresses(n)
+        return self.next_addresses_array(n).tolist()
+
+    def next_addresses_array(self, n: int) -> np.ndarray:
+        if not self._batched:
+            return np.asarray(super().next_addresses(n), dtype=np.int64)
+        out = np.empty(n, dtype=np.int64)
+        pos = 0
+        while pos < n:
+            # A window runs to the end of the choice buffer or of the
+            # request; the choice refill opens it, as in next_address.
+            i = self._index
+            choices = self._choices
+            if i >= choices.shape[0]:
+                choices = self._choices = self._draw_choices()
+                i = 0
+            end = min(choices.shape[0], i + n - pos)
+            self._index = end
+            self._fill_window(choices[i:end], out[pos:pos + end - i])
+            pos += end - i
+        return out
+
+    def _fill_window(self, chosen: np.ndarray, out: np.ndarray) -> None:
+        """Serve one window of choices into ``out``, generator order kept.
+
+        A component's addresses depend on the generator only through
+        its refills, so drawing each component's whole share in one
+        call is exact once the calls that refill run in the order of
+        the positions where the scalar walk would refill them.  A
+        refill holds at least as many addresses as a window, so no
+        component refills twice in one.
+        """
+        parts = self._parts
+        counts = np.bincount(chosen, minlength=len(parts)).tolist()
+        # Window positions grouped by component, ascending in each.
+        order = np.argsort(chosen, kind="stable")
+        # (position of the refill, or -1 for none; component)
+        calls: list[tuple[int, int]] = []
+        start = 0
+        for j, count in enumerate(counts):
+            if not count:
+                continue
+            part = parts[j]
+            refill_at = -1
+            if isinstance(part, _BufferedPattern):
+                held = part._buffer.shape[0] - part._index
+                if count > held:
+                    refill_at = int(order[start + held])
+            calls.append((refill_at, j))
+            start += count
+        calls.sort()
+        drawn: list[np.ndarray] = [_EMPTY] * len(parts)
+        for _, j in calls:
+            drawn[j] = parts[j].next_addresses_array(counts[j])
+        out[order] = np.concatenate(drawn)
 
     def footprint_lines(self) -> int:
         return sum(p.footprint_lines() for p in self._parts)
@@ -613,3 +696,7 @@ class _TraceReplay(AccessPattern):
 
     def footprint_lines(self) -> int:
         return self._footprint
+
+
+#: Patterns that never touch the generator after construction.
+_RNG_FREE = (_SequentialStream, _PointerChase, _StridedScan, _TraceReplay)

@@ -10,6 +10,7 @@ from repro.analytic.stack_distance import (
     COLD,
     reuse_distance_histogram,
     reuse_distances,
+    reuse_profile,
 )
 from repro.errors import WorkloadError
 
@@ -62,6 +63,14 @@ def fenwick_reuse_distances(trace):
         tree.add(t, 1)
         last_use[addr] = t
     return distances
+
+
+def singleton_count(trace):
+    """Lines touched exactly once, counted in a dict."""
+    counts = {}
+    for addr in trace:
+        counts[addr] = counts.get(addr, 0) + 1
+    return sum(1 for c in counts.values() if c == 1)
 
 
 def naive_reuse_distances(trace):
@@ -142,6 +151,30 @@ class TestAgainstFenwick:
         pattern = phase.pattern.instantiate(np.random.default_rng(3), 0)
         trace = sample_trace(pattern, 5_000)
         assert reuse_distances(trace) == fenwick_reuse_distances(trace)
+
+
+class TestSingletons:
+    """The sort-derived singleton count == the dict-count oracle."""
+
+    @given(st.lists(st.integers(0, 300), min_size=0, max_size=600))
+    @settings(max_examples=80, deadline=None)
+    def test_random_traces(self, trace):
+        histogram, cold, singletons = reuse_profile(trace)
+        assert singletons == singleton_count(trace)
+        assert (histogram, cold) == reuse_distance_histogram(trace)
+
+    @pytest.mark.parametrize("trace", [
+        [], [5], [5, 5], [1, 2, 3], [1, 2, 1, 3], [3, 1, 2, 2, 1, 9],
+    ])
+    def test_edge_traces(self, trace):
+        assert reuse_profile(trace)[2] == singleton_count(trace)
+
+    def test_array_input(self):
+        import numpy as np
+
+        trace = [7, 3, 7, 1, 9, 9, 4]
+        assert reuse_profile(np.array(trace, dtype=np.int64)) == \
+            reuse_profile(trace)
 
 
 class TestSampling:

@@ -11,27 +11,27 @@ from repro.errors import ConfigError
 class TestBasics:
     def test_base_latency_with_idle_channel(self):
         mem = MainMemory(latency=200, service_cycles=20.0)
-        assert mem.access(0.0) == 200.0
+        assert mem.access() == 200.0
 
     def test_bandwidth_disabled(self):
         mem = MainMemory(latency=150, service_cycles=None)
         for _ in range(1000):
-            assert mem.access(0.0) == 150.0
+            assert mem.access() == 150.0
         mem.end_period(1_000)
-        assert mem.access(0.0) == 150.0
+        assert mem.access() == 150.0
 
     def test_queue_grows_with_load(self):
         mem = MainMemory(latency=200, service_cycles=20.0)
         for _ in range(40):  # rho = 40*20/1000 = 0.8
-            mem.access(0.0)
+            mem.access()
         mem.end_period(1_000)
-        loaded = mem.access(0.0)
+        loaded = mem.access()
         assert loaded > 200.0
 
     def test_queue_follows_mdi_formula(self):
         mem = MainMemory(latency=200, service_cycles=20.0, smoothing=1.0)
         for _ in range(25):  # rho = 0.5
-            mem.access(0.0)
+            mem.access()
         mem.end_period(1_000)
         expected = 20.0 * 0.5 / (2 * 0.5)
         assert mem.current_queue_delay == pytest.approx(expected)
@@ -39,7 +39,7 @@ class TestBasics:
     def test_rho_capped(self):
         mem = MainMemory(latency=200, service_cycles=20.0, smoothing=1.0)
         for _ in range(10_000):
-            mem.access(0.0)
+            mem.access()
         mem.end_period(1_000)
         assert mem.rho_history[-1] == pytest.approx(MAX_RHO)
 
@@ -48,14 +48,14 @@ class TestBasics:
         slow = MainMemory(latency=200, service_cycles=20.0, smoothing=0.25)
         for mem in (fast, slow):
             for _ in range(40):
-                mem.access(0.0)
+                mem.access()
             mem.end_period(1_000)
         assert slow.current_queue_delay < fast.current_queue_delay
 
     def test_idle_period_decays_queue(self):
         mem = MainMemory(latency=200, service_cycles=20.0)
         for _ in range(40):
-            mem.access(0.0)
+            mem.access()
         mem.end_period(1_000)
         busy = mem.current_queue_delay
         mem.end_period(1_000)  # no arrivals
@@ -63,7 +63,7 @@ class TestBasics:
 
     def test_reset(self):
         mem = MainMemory()
-        mem.access(0.0)
+        mem.access()
         mem.end_period(1_000)
         mem.reset()
         assert mem.accesses == 0
@@ -73,9 +73,9 @@ class TestBasics:
     def test_mean_queue_accounting(self):
         mem = MainMemory(latency=200, service_cycles=20.0, smoothing=1.0)
         for _ in range(25):
-            mem.access(0.0)
+            mem.access()
         mem.end_period(1_000)
-        mem.access(0.0)
+        mem.access()
         assert mem.mean_queue_cycles > 0.0
 
 

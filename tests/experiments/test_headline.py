@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.headline import HeadlineNumbers, headline_numbers
+from repro.experiments.headline import (
+    HeadlineNumbers,
+    headline_band_failures,
+    headline_numbers,
+)
 
 
 class TestRendering:
@@ -36,3 +40,26 @@ class TestAggregation:
         assert numbers.rule_penalty < numbers.shutter_penalty
         assert numbers.shutter_penalty < numbers.raw_penalty
         assert 0.0 < numbers.rule_utilization <= 1.0
+
+
+class TestBands:
+    def test_paper_numbers_are_in_band(self):
+        assert headline_band_failures(
+            HeadlineNumbers(0.17, 0.06, 0.04, 0.60, 0.58)
+        ) == []
+
+    def test_each_band_reports_its_miss(self):
+        failures = headline_band_failures(
+            HeadlineNumbers(0.35, 0.36, 0.40, 0.30, 0.90)
+        )
+        assert len(failures) == 6
+        assert failures[0].startswith("raw penalty 0.350")
+        assert failures[-1].startswith("rule utilization 0.900")
+
+    def test_rule_may_trail_shutter_by_two_points(self):
+        assert headline_band_failures(
+            HeadlineNumbers(0.17, 0.04, 0.06, 0.60, 0.58)
+        ) == []
+        assert len(headline_band_failures(
+            HeadlineNumbers(0.17, 0.04, 0.061, 0.60, 0.58)
+        )) == 1

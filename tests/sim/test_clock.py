@@ -19,15 +19,6 @@ class TestClock:
         assert clock.advance_period() == 1
         assert clock.cycle == 1000.0
 
-    def test_cycle_at_fraction(self):
-        clock = SimClock(1000)
-        assert clock.cycle_at(2, 0.5) == 2500.0
-
-    def test_fraction_validated(self):
-        clock = SimClock(1000)
-        with pytest.raises(SimulationError):
-            clock.cycle_at(0, 1.5)
-
     def test_positive_period_required(self):
         with pytest.raises(SimulationError):
             SimClock(0)

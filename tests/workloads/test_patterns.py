@@ -333,6 +333,20 @@ class TestBatchGeneration:
             got.extend(mixed.next_addresses(9))
         assert got == expected[: len(got)]
 
+    @pytest.mark.parametrize(
+        "spec", BATCH_SPECS, ids=lambda s: type(s).__name__
+    )
+    def test_array_form_matches_scalar_stream(self, spec):
+        scalar = spec.instantiate(np.random.default_rng(7), 16)
+        batched = spec.instantiate(np.random.default_rng(7), 16)
+        expected = [scalar.next_address() for _ in range(500)]
+        got: list[int] = []
+        for n in (1, 2, 3, 5, 17, 64, 100, 308):
+            arr = batched.next_addresses_array(n)
+            assert arr.dtype == np.int64 and arr.shape == (n,)
+            got.extend(arr.tolist())
+        assert got == expected
+
     @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
     def test_arbitrary_batch_sizes(self, sizes):
@@ -343,4 +357,101 @@ class TestBatchGeneration:
         got: list[int] = []
         for n in sizes:
             got.extend(batched.next_addresses(n))
+        assert got == expected
+
+
+#: Streams long enough to cross several 4,096-draw refills of the
+#: mixture's choices and of every buffered component: the three SPEC
+#: mixture shapes, a hot/cold component and a nested mixture (which
+#: keeps the per-address loop).
+LONG_SPECS = [
+    MixtureSpec(
+        components=(
+            (0.26, UniformRandomSpec(lines=900)),
+            (0.15, PointerChaseSpec(lines=3000)),
+            (0.59, ZipfSpec(lines=200, alpha=1.0)),
+        )
+    ),
+    MixtureSpec(
+        components=(
+            (0.55, SequentialStreamSpec(lines=300, line_repeats=4)),
+            (0.25, UniformRandomSpec(lines=500)),
+            (0.20, ZipfSpec(lines=100, alpha=1.1)),
+        )
+    ),
+    MixtureSpec(
+        components=(
+            (0.6, SequentialStreamSpec(lines=300, line_repeats=8)),
+            (0.4, ZipfSpec(lines=100, alpha=1.1)),
+        )
+    ),
+    MixtureSpec(
+        components=(
+            (0.5, HotColdSpec(hot_lines=8, cold_lines=400)),
+            (0.3, UniformRandomSpec(lines=64, line_repeats=3)),
+            (0.2, StridedScanSpec(lines=128, stride=4)),
+        )
+    ),
+    MixtureSpec(
+        components=(
+            (0.5, MixtureSpec(
+                components=(
+                    (0.5, UniformRandomSpec(lines=50)),
+                    (0.5, ZipfSpec(lines=40, alpha=1.2)),
+                )
+            )),
+            (0.5, UniformRandomSpec(lines=70)),
+        )
+    ),
+]
+
+_LONG = 13_000
+
+
+def _draw(pattern, kind: int, n: int) -> list[int]:
+    if kind == 0:
+        return [pattern.next_address()]
+    if kind == 1:
+        return pattern.next_addresses(n)
+    return pattern.next_addresses_array(n).tolist()
+
+
+class TestRefillBoundaries:
+    """Batches that cross the mixture's and its components' refills.
+
+    The mixture and its components share one generator, so a batch
+    reproduces the scalar stream only if every refill consumes the
+    generator where the per-address walk would.
+    """
+
+    @pytest.mark.parametrize("spec", LONG_SPECS)
+    @pytest.mark.parametrize("size", [256, 4096, 5000, _LONG])
+    def test_long_batches_match_scalar_stream(self, spec, size):
+        scalar = spec.instantiate(np.random.default_rng(2), 9)
+        listed = spec.instantiate(np.random.default_rng(2), 9)
+        arrayed = spec.instantiate(np.random.default_rng(2), 9)
+        expected = [scalar.next_address() for _ in range(_LONG)]
+        got_list: list[int] = []
+        got_array: list[int] = []
+        while len(got_list) < _LONG:
+            got_list.extend(listed.next_addresses(size))
+            got_array.extend(arrayed.next_addresses_array(size).tolist())
+        assert got_list[:_LONG] == expected
+        assert got_array[:_LONG] == expected
+
+    @given(
+        spec=st.sampled_from(LONG_SPECS),
+        draws=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 5000)),
+            min_size=1, max_size=12,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_draw_forms(self, spec, draws):
+        scalar = spec.instantiate(np.random.default_rng(4), 0)
+        mixed = spec.instantiate(np.random.default_rng(4), 0)
+        got: list[int] = []
+        for kind, n in draws:
+            got.extend(_draw(mixed, kind, n))
+        expected = [scalar.next_address() for _ in range(len(got))]
         assert got == expected
